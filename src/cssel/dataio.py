@@ -127,14 +127,8 @@ def read_clusters_json(path) -> tuple[list[list[int]], list[str] | None, list[in
 
 
 def write_clusters_json(path, clusters, names=None, screened=()) -> None:
-    doc = {
-        "clusters": [list(map(int, c)) for c in clusters],
-        "names": list(names) if names else None,
-        "screened_columns": [int(j) for j in screened],
-    }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(clusters_json_text(clusters, names, screened))
 
 
 def clusters_json_text(clusters, names=None, screened=()) -> str:

@@ -19,9 +19,11 @@ certify the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .data import DataSet
 
@@ -133,6 +135,11 @@ class LassoPath:
                 seen.append(j)
         return seen
 
+    @cached_property
+    def _negated_lambdas(self) -> np.ndarray:
+        """Knot lambdas negated, so ascending, for np.searchsorted."""
+        return -np.array([k[0] for k in self.knots])
+
     def coefficients_at(self, lam: float) -> np.ndarray:
         """Interpolate the exact solution at a given lambda (original basis)."""
         if lam < 0:
@@ -144,19 +151,38 @@ class LassoPath:
             )
         if not self.knots or lam >= self.knots[0][0]:
             return np.zeros(p)
-        lams = [k[0] for k in self.knots]
-        for i in range(len(lams) - 1):
-            if lam >= lams[i + 1]:
-                lo, hi = lams[i + 1], lams[i]
-                t = 0.0 if hi == lo else (hi - lam) / (hi - lo)
-                return (1 - t) * self.knot_coefs[i] + t * self.knot_coefs[i + 1]
-        if lam >= self.terminal_lambda:
-            lo, hi = self.terminal_lambda, lams[-1]
-            t = 1.0 if hi == lo else (hi - lam) / (hi - lo)
-            return (1 - t) * self.knot_coefs[-1] + t * self.terminal_coefs
-        raise ValueError(
-            f"lambda={lam!r} below the computed path end {self.terminal_lambda!r}"
-        )
+        # lam lies on the segment from knot i down to the first knot at or
+        # below it, or down to the path end when there is none.
+        i = int(np.searchsorted(self._negated_lambdas, -lam)) - 1
+        if i + 1 < len(self.knots):
+            lo, right = self.knots[i + 1][0], self.knot_coefs[i + 1]
+        else:
+            lo, right = self.terminal_lambda, self.terminal_coefs
+        hi = self.knots[i][0]
+        t = 1.0 if hi == lo else (hi - lam) / (hi - lo)
+        return (1 - t) * self.knot_coefs[i] + t * right
+
+
+def _active_factor(L: np.ndarray | None, UA: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of UA^T UA; None if it is not positive definite.
+
+    L, when given, factors UA^T UA without UA's last column and is bordered
+    with one triangular solve; with L None the factor is computed afresh.
+    """
+    if L is None:
+        L, info = dpotrf(UA.T @ UA, lower=1)
+        return None if info else L
+    k = L.shape[0]
+    u = UA[:, k]
+    w, _ = dtrtrs(L, UA[:, :k].T @ u, lower=1)
+    pivot = u @ u - w @ w
+    if not pivot > 0.0:
+        return None
+    grown = np.zeros((k + 1, k + 1), order="F")
+    grown[:k, :k] = L
+    grown[k, :k] = w
+    grown[k, k] = np.sqrt(pivot)
+    return grown
 
 
 def fit_lasso_path(
@@ -170,6 +196,9 @@ def fit_lasso_path(
     zero (drop).  Ties between two would-be entrants raise PathTie.
     stop_lambda truncates the path once every remaining event lies below it;
     coefficients_at stays exact down to the truncation point.
+
+    The Cholesky factor of the active Gram matrix is carried from knot to
+    knot: an entrant borders it, a drop refactors it (Efron et al. 2004).
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -188,12 +217,6 @@ def fit_lasso_path(
             terminal_coefs=zeros, scaling=norms, n=n,
             completed=mu1 == 0.0, saturated=False,
         )
-    if mu1 == 0.0:
-        return LassoPath(
-            knots=(), knot_coefs=np.zeros((0, p)), terminal_lambda=0.0,
-            terminal_coefs=zeros, scaling=norms, n=n, completed=True,
-            saturated=False,
-        )
 
     top = np.flatnonzero(np.abs(c0) >= mu1 * (1.0 - TIE_REL))
     if top.size > 1:
@@ -203,9 +226,11 @@ def fit_lasso_path(
     knots: list[tuple[float, str, int]] = [(mu1 / n, "enter", j1)]
     knot_coefs: list[np.ndarray] = [zeros.copy()]
     active: list[int] = [j1]
-    signs: dict[int, float] = {j1: float(np.sign(c0[j1]))}
+    signs = np.zeros(p)  # sign of each active coefficient, 0 when inactive
+    signs[j1] = np.sign(c0[j1])
+    L = None  # Cholesky factor of U_A^T U_A, rows in `active` order
     mu_cur = mu1
-    last_dropped = -1
+    last_event = ("enter", j1)
     saturated = False
     completed = False
     terminal_lambda = mu1 / n
@@ -213,96 +238,89 @@ def fit_lasso_path(
     # More than n active features would make the Gram factor singular; with
     # n > p the loop instead ends when no candidate events remain.
     max_active = n
+    both_signs = np.array([[1.0], [-1.0]])
 
     while True:
         if max_steps is not None and len(knots) >= max_steps:
             break
         A = np.array(active)
         UA = U[:, A]
-        sA = np.array([signs[j] for j in active])
-        G = UA.T @ UA
-        try:
-            cho = scipy.linalg.cho_factor(G)
-        except scipy.linalg.LinAlgError:
-            saturated = True
-            break
-        v = scipy.linalg.cho_solve(cho, UA.T @ y)
-        d = scipy.linalg.cho_solve(cho, sA)
-        # beta_A(mu) = v - mu*d on the scaled basis for mu in (mu_next, mu_cur]
-        r0 = y - UA @ v
-        q = UA @ d
+        if L is None or L.shape[0] < A.size:
+            L = _active_factor(L, UA)
+            if L is None:
+                saturated = True
+                break
+        vd, _ = dpotrs(L, np.array([c0[A], signs[A]]).T, lower=1)
+        v, d = vd[:, 0], vd[:, 1]
+        # beta_A(mu) = v - mu*d on the scaled basis for mu in (mu_next, mu_cur];
+        # along it the correlations U^T (y - U_A beta_A) are a + mu*g.
+        rq = UA @ vd
+        rq[:, 0] = y - rq[:, 0]
+        a, g = (U.T @ rq).T
         upper = mu_cur * (1.0 - TIE_REL)
+        # A just-dropped feature touches the boundary exactly at its drop
+        # knot, and a just-entered one has a zero coefficient exactly at its
+        # entry knot, so each has a spurious root at mu_cur; a genuine event
+        # further down the same segment must still be kept.
+        spurious_cut = mu_cur * (1.0 - 1e-9)
 
-        inactive = np.array([j for j in range(p) if j not in signs], dtype=int)
-        entry: list[tuple[float, int, float]] = []
-        if inactive.size and len(active) < max_active:
-            a = U[:, inactive].T @ r0
-            g = U[:, inactive].T @ q
-            # A just-dropped feature touches the boundary exactly at its drop
-            # knot, so its equations have a spurious root there; a genuine
-            # re-entry further down the same segment must still be kept.
-            reentry_cut = mu_cur * (1.0 - 1e-9)
-            for sgn in (1.0, -1.0):
-                denom = sgn - g
-                ok = np.abs(denom) > 1e-12
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cand = np.where(ok, a / denom, -1.0)
-                for idx in np.flatnonzero((cand > 0.0) & (cand < upper) & ok):
-                    j = int(inactive[idx])
-                    if j == last_dropped and cand[idx] >= reentry_cut:
-                        continue
-                    entry.append((float(cand[idx]), j, sgn))
+        # Entry roots of a_j + mu*g_j = sgn*mu, sign +1 in row 0: argmax takes
+        # the first maximum, so on equal roots + wins, then the lowest index.
+        # (The active set is below max_active here: reaching it ends the loop.)
+        denom = both_signs - g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = a / denom
+        valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper)
+        valid[:, A] = False
+        if last_event[0] == "drop":
+            j = last_event[1]
+            valid[:, j] &= roots[:, j] < spurious_cut
+        roots[~valid] = -np.inf
+        entry = int(np.argmax(roots))
+        mu_entry = float(roots.flat[entry])
+        if mu_entry > -np.inf:
+            tied = np.abs(roots - mu_entry) <= TIE_REL * mu_entry
+            tied_features = np.flatnonzero(tied.any(axis=0))
+            if tied_features.size > 1:
+                raise PathTie(mu_entry / n, tuple(tied_features))
 
-        drops: list[tuple[float, int]] = []
-        for pos, j in enumerate(active):
-            dj = d[pos]
-            if dj != 0.0:
-                cand = v[pos] / dj
-                if 0.0 < cand < upper:
-                    drops.append((float(cand), j))
+        # Drop roots of the active coefficients, first maximum in `active` order.
+        roots = np.divide(v, d, out=np.full_like(v, -np.inf), where=d != 0.0)
+        valid = (roots > 0.0) & (roots < upper)
+        if last_event[0] == "enter":
+            valid[-1] &= roots[-1] < spurious_cut
+        roots[~valid] = -np.inf
+        drop = int(np.argmax(roots))
+        mu_drop = float(roots[drop])
 
-        if not entry and not drops:
-            terminal_lambda = 0.0
+        mu_next = max(mu_entry, mu_drop)
+        if mu_next <= stop_mu:
+            # Either no event is left (mu_next is -inf) and the path runs to
+            # the unpenalized end, or every remaining event lies below the
+            # stop point; the current segment is exact down to there.
+            completed = mu_next == -np.inf
+            terminal_lambda = 0.0 if completed else stop_lambda
             terminal_coefs = zeros.copy()
-            terminal_coefs[A] = v / norms[A]
-            completed = True
+            terminal_coefs[A] = (v - n * terminal_lambda * d) / norms[A]
             break
-
-        best_entry = max(entry, default=None, key=lambda t: t[0])
-        best_drop = max(drops, default=None, key=lambda t: t[0])
-        if best_entry is not None:
-            tied = {j for mu, j, _ in entry
-                    if abs(mu - best_entry[0]) <= TIE_REL * best_entry[0]}
-            if len(tied) > 1:
-                raise PathTie(best_entry[0] / n, tuple(tied))
 
         # Drops take precedence at numerically equal knots (measure-zero case).
-        if best_drop is not None and (
-            best_entry is None or best_drop[0] >= best_entry[0]
-        ):
-            mu_next, j_ev, event = best_drop[0], best_drop[1], "drop"
+        if mu_drop >= mu_entry:
+            j_ev, event = active[drop], "drop"
         else:
-            mu_next, j_ev, event = best_entry[0], best_entry[1], "enter"
-
-        if mu_next <= stop_mu:
-            # Every remaining event lies below the stop point; the current
-            # segment is exact there, so end the path at stop_lambda.
-            terminal_lambda = stop_lambda
-            terminal_coefs = zeros.copy()
-            terminal_coefs[A] = (v - stop_mu * d) / norms[A]
-            break
+            j_ev, event = entry % p, "enter"
 
         beta = zeros.copy()
         beta[A] = (v - mu_next * d) / norms[A]
         if event == "drop":
             beta[j_ev] = 0.0
             active.remove(j_ev)
-            del signs[j_ev]
-            last_dropped = j_ev
+            signs[j_ev] = 0.0
+            L = None
         else:
             active.append(j_ev)
-            signs[j_ev] = best_entry[2]
-            last_dropped = -1
+            signs[j_ev] = both_signs[entry // p, 0]
+        last_event = (event, j_ev)
         knots.append((mu_next / n, event, j_ev))
         knot_coefs.append(beta)
         mu_cur = mu_next
@@ -348,8 +366,6 @@ class LassoFit:
 
 
 def _cd_solve(
-    U: np.ndarray,
-    y: np.ndarray,
     G: np.ndarray,
     c: np.ndarray,
     mu: float,
@@ -415,9 +431,7 @@ def fit_lasso_at(
     else:
         G = U.T @ U
         c = U.T @ y
-        beta, iterations = _cd_solve(
-            U, y, G, c, n * lam, np.zeros(p), tol, max_iter
-        )
+        beta, iterations = _cd_solve(G, c, n * lam, np.zeros(p), tol, max_iter)
     coef = beta / norms
     resid = kkt_residual(data, coef, lam)
     if resid > kkt_tol:
@@ -512,9 +526,7 @@ def cross_validate_lambda(
             if lam == 0.0:
                 beta, *_ = np.linalg.lstsq(Ut, yc, rcond=None)
             else:
-                beta, _ = _cd_solve(
-                    Ut, yc, G, c, len(train) * lam, beta, CD_TOL, 10000
-                )
+                beta, _ = _cd_solve(G, c, len(train) * lam, beta, CD_TOL, 10000)
             pred = (Xv - x_off) @ (beta / norms) + y_off
             sq_err[i] += float(np.sum((yv - pred) ** 2))
     return float(grid[int(np.argmin(sq_err))])

@@ -20,9 +20,6 @@ from .data import DataSet
 
 # Largest admissible concentration constant (e-1)/(8e^2), used as default.
 C2_MAX = (math.e - 1.0) / (8.0 * math.e**2)
-# Tail-split point of the underlying concentration argument.  Exposed for
-# completeness; it does not enter any formula below.
-T0_DEFAULT = 1.0
 
 
 @dataclass(frozen=True)

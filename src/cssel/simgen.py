@@ -167,11 +167,6 @@ def gen_sparse_sim(seed: int, reps: int, n: int = 200):
     return (gen_sparse_instance(seed, i, n) for i in range(reps))
 
 
-def gen_weighted_sim(seed: int, reps: int, n: int = 200):
-    """Stream of mixed-quality-design replications."""
-    return (gen_weighted_instance(seed, i, n) for i in range(reps))
-
-
 def gen_two_proxy_instance(
     n: int,
     sigma_eps_sq: float,

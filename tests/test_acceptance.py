@@ -39,6 +39,8 @@ from cssel.simgen import EVAL_STREAM_OFFSET, gen_proxy_instance
 from cssel.studies import run_study
 from cssel.subsampling import draw_complementary_pairs
 
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture(scope="module")
 def two_proxy_study():

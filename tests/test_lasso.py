@@ -4,13 +4,16 @@ closed-form first knot, OLS and CV contracts."""
 import numpy as np
 import pytest
 
+from cssel import core
 from cssel.data import DataSet
 from cssel.lasso import (
+    KKT_TOL,
     ConvergenceFailure,
     InsufficientPath,
     LassoPath,
     PathTie,
     RankDeficient,
+    _active_factor,
     cross_validate_lambda,
     default_lambda_grid,
     fit_lasso_at,
@@ -20,6 +23,8 @@ from cssel.lasso import (
     ols_fit,
     select_first_k,
 )
+from cssel.simgen import gen_sparse_instance
+from cssel.subsampling import draw_complementary_pairs, restrict
 
 
 def kkt_violation_oracle(X, y, coef, lam):
@@ -443,3 +448,123 @@ def test_cv_handles_tied_columns_via_fallback():
     grid = default_lambda_grid(data, points=20)
     lam = cross_validate_lambda(data, folds=5, grid=grid, seed=3)
     assert lam in grid
+
+
+def linear_scan_coefficients(path, lam):
+    """The knot-by-knot interpolation that coefficients_at must reproduce."""
+    if not path.knots or lam >= path.knots[0][0]:
+        return np.zeros(path.terminal_coefs.shape[0])
+    lams = [k[0] for k in path.knots]
+    for i in range(len(lams) - 1):
+        if lam >= lams[i + 1]:
+            lo, hi = lams[i + 1], lams[i]
+            t = 0.0 if hi == lo else (hi - lam) / (hi - lo)
+            return (1 - t) * path.knot_coefs[i] + t * path.knot_coefs[i + 1]
+    lo, hi = path.terminal_lambda, lams[-1]
+    t = 1.0 if hi == lo else (hi - lam) / (hi - lo)
+    return (1 - t) * path.knot_coefs[-1] + t * path.terminal_coefs
+
+
+def test_coefficients_at_equals_linear_scan():
+    """Binary search over the knots gives the linear scan's vectors exactly."""
+    rng = np.random.default_rng(25)
+    for stop in (0.0, 0.3):
+        data = random_instance(rng, 30, 10)
+        path = fit_lasso_path(data, stop_lambda=stop * lambda_max(data))
+        lams = [k[0] for k in path.knots]
+        queries = lams + [0.5 * (hi + lo) for hi, lo in zip(lams, lams[1:])]
+        queries += [path.terminal_lambda, 0.5 * (lams[-1] + path.terminal_lambda)]
+        queries += [2 * lams[0]]
+        for lam in queries:
+            assert np.array_equal(
+                path.coefficients_at(lam), linear_scan_coefficients(path, lam)
+            )
+        if path.terminal_lambda > 0:
+            with pytest.raises(ValueError, match="below the computed path end"):
+                path.coefficients_at(0.5 * path.terminal_lambda)
+
+
+def run_csv_halves(instance_seed, plan_seed, B=50):
+    """Half samples of `css run` on a sparse-design instance and its CV lambda."""
+    data = gen_sparse_instance(instance_seed, 0).data
+    lam = cross_validate_lambda(data, folds=10, seed=plan_seed)
+    plan = draw_complementary_pairs(data.n, B, plan_seed)
+    return [[restrict(data, rows) for rows in pair] for pair in plan.pairs], lam
+
+
+def test_just_entered_feature_does_not_drop_at_its_entry_knot():
+    """Regression: feature 9 entered and 'dropped' 1.4e-12 later in lambda.
+
+    The spurious drop left the path off the solution down to the CV lambda
+    (KKT residual 8.5e-5 there, feature 9 missing from the support).
+    """
+    halves, lam = run_csv_halves(11, 0)
+    half = halves[0][1]
+    path = fit_lasso_path(half, stop_lambda=lam)
+    for a, b in zip(path.knots, path.knots[1:]):
+        assert not (a[1] == "enter" and b[1] == "drop" and a[2] == b[2])
+    coef = path.coefficients_at(lam)
+    assert kkt_residual(half, coef, lam) <= KKT_TOL
+    assert coef[9] != 0.0
+    assert np.max(np.abs(coef - fit_lasso_at(half, lam).coefficients)) < 1e-6
+
+
+def test_run_csv_half_sample_paths_solve_at_cv_lambda():
+    """50 half samples, one of which the spurious drop used to break."""
+    halves, lam = run_csv_halves(4, 4)
+    for pair in halves[25:]:
+        for half in pair:
+            path = fit_lasso_path(half, stop_lambda=lam)
+            assert kkt_residual(half, path.coefficients_at(lam), lam) <= KKT_TOL
+
+
+def test_path_with_drops_and_reentries_matches_descent():
+    """Refactoring after drops keeps the path on the solution between knots."""
+    rng = np.random.default_rng(34)
+    data = random_instance(rng, 30, 20, sparsity=10, noise=2.0)
+    path = fit_lasso_path(data)
+    events = [e for _, e, _ in path.knots]
+    entered = [j for _, e, j in path.knots if e == "enter"]
+    assert events.count("drop") >= 3
+    assert len(entered) - len(set(entered)) >= 3
+    lams = [k[0] for k in path.knots] + [path.terminal_lambda]
+    for hi, lo in zip(lams[:-1], lams[1:]):
+        lam = 0.5 * (hi + lo)
+        fit = fit_lasso_at(data, lam, max_iter=100000)
+        assert np.max(np.abs(path.coefficients_at(lam) - fit.coefficients)) < 1e-6
+
+
+def test_wide_half_sample_saturates_and_falls_back_to_descent(monkeypatch):
+    """p > n: the path stops with n active features, below it CD takes over."""
+    half = restrict(gen_sparse_instance(0, 0).data, range(10))
+    path = fit_lasso_path(half)
+    assert path.saturated and not path.completed
+    assert np.count_nonzero(path.terminal_coefs) == half.n - 1
+    lambdas = (2 * path.terminal_lambda, 0.9 * path.terminal_lambda)
+    fits = []
+
+    def recording_fit(data, lam):
+        fits.append(fit_lasso_at(data, lam))
+        return fits[-1]
+
+    monkeypatch.setattr(core, "fit_lasso_at", recording_fit)
+    support = core._fixed_lambda_supports(half, lambdas)
+    assert [fit.lam for fit in fits] == list(lambdas)
+    assert support == set().union(*(fit.support for fit in fits))
+    for fit in fits:
+        assert kkt_residual(half, fit.coefficients, fit.lam) <= KKT_TOL
+
+
+def test_bordered_factor_matches_cholesky_and_flags_dependence():
+    """Column-by-column bordering equals a fresh factorization; a column in
+    the span of the earlier ones has no positive pivot."""
+    rng = np.random.default_rng(26)
+    U = rng.standard_normal((12, 6))
+    L = _active_factor(None, U[:, :1])
+    for k in range(2, 7):
+        L = _active_factor(L, U[:, :k])
+    assert np.max(np.abs(L - np.linalg.cholesky(U.T @ U))) < 1e-12
+    assert np.max(np.abs(L - _active_factor(None, U))) < 1e-12
+    e = np.eye(4)[:, [0, 0]]
+    assert _active_factor(_active_factor(None, e[:, :1]), e) is None
+    assert _active_factor(None, e) is None
