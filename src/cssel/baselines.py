@@ -3,46 +3,33 @@ and the simple-average cluster representative lasso."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HalfSampleFailure, ClusterPartition
+from .core import ClusterPartition, map_halves
 from .data import DataSet
 from .lasso import LassoPath, fit_lasso_at, fit_lasso_path
-from .subsampling import SubsamplePlan, restrict
+from .subsampling import SubsamplePlan
 
 
-def _per_lambda_proportions(
-    data: DataSet, row_sets, labels, lambdas, threads: int
-) -> np.ndarray:
-    """Max over lambdas of per-lambda selection frequency across row sets."""
+def _per_lambda_proportions(data: DataSet, halves, lambdas, threads: int) -> np.ndarray:
+    """Max over lambdas of per-lambda selection frequency across the halves."""
     lambdas = tuple(float(l) for l in lambdas)
     if not lambdas:
         raise ValueError("need at least one lambda")
-
-    def solve(item):
-        label, rows = item
-        half = restrict(data, rows)
-        try:
-            return [fit_lasso_at(half, lam).support for lam in lambdas]
-        except Exception as exc:
-            raise HalfSampleFailure(label[0], label[1], exc) from exc
-
-    items = list(zip(labels, row_sets))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            supports = list(pool.map(solve, items))
-    else:
-        supports = [solve(it) for it in items]
-
+    supports = map_halves(
+        data,
+        halves,
+        lambda label, half: [fit_lasso_at(half, lam).support for lam in lambdas],
+        threads,
+    )
     counts = np.zeros((len(lambdas), data.p))
     for per_set in supports:
         for i, sup in enumerate(per_set):
             for j in sup:
                 counts[i, j] += 1
-    return (counts / len(row_sets)).max(axis=0)
+    return (counts / len(halves)).max(axis=0)
 
 
 def stability_selection_ss(
@@ -54,14 +41,7 @@ def stability_selection_ss(
     each feature; with several it is the max over lambdas of the per-lambda
     fractions.
     """
-    row_sets = []
-    labels = []
-    for b, (first, second) in enumerate(plan.pairs):
-        row_sets.append(first)
-        labels.append((b, "A"))
-        row_sets.append(second)
-        labels.append((b, "Ac"))
-    return _per_lambda_proportions(data, row_sets, labels, lambdas, threads)
+    return _per_lambda_proportions(data, plan.halves(), lambdas, threads)
 
 
 def stability_selection_mb(
@@ -69,17 +49,15 @@ def stability_selection_mb(
 ) -> np.ndarray:
     """Per-feature selection proportions over unpaired half subsamples."""
     m = data.n // 2
-    row_sets = []
-    labels = []
+    halves = []
     for i, rows in enumerate(subsample_list):
         rows = np.asarray(rows, dtype=int)
         if rows.shape != (m,):
             raise ValueError(f"subsample {i} must have {m} rows, got {rows.shape}")
-        row_sets.append(rows)
-        labels.append((i, "subsample"))
-    if not row_sets:
+        halves.append(((i, "subsample"), rows))
+    if not halves:
         raise ValueError("need at least one subsample")
-    return _per_lambda_proportions(data, row_sets, labels, lambdas, threads)
+    return _per_lambda_proportions(data, halves, lambdas, threads)
 
 
 @dataclass(frozen=True)

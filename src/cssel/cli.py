@@ -279,11 +279,10 @@ def cmd_cluster(args) -> int:
         ) from None
     partition = single_linkage_clusters(D, args.cutoff)
     clusters = [[kept[j] for j in c] for c in partition.clusters]
-    text = clusters_json_text(clusters, names=None, screened=screened)
     if args.out:
         write_clusters_json(args.out, clusters, names=None, screened=screened)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(clusters_json_text(clusters, names=None, screened=screened))
     return EXIT_OK
 
 

@@ -16,11 +16,14 @@ import numpy as np
 
 from .data import DataSet
 from .lasso import (
-    PathTie,
+    KKT_TOL,
+    ConvergenceFailure,
     cross_validate_lambda,
     fit_lasso_at,
     fit_lasso_path,
+    kkt_residual,
     select_first_k,
+    solutions_on_grid,
 )
 from .subsampling import SubsamplePlan, draw_complementary_pairs, restrict
 
@@ -104,25 +107,42 @@ class HalfSampleFailure(RuntimeError):
 
 
 def _fixed_lambda_supports(half: DataSet, lambdas: tuple[float, ...]) -> set[int]:
-    """Union of lasso supports over `lambdas`, read off one homotopy path.
+    """Union of lasso supports over `lambdas`, each solution KKT-certified.
 
-    A knot tie, or a path that stops above the smallest lambda, falls back to
-    coordinate descent per lambda; both routes solve the same problem.
+    The distinct lambdas are solved together by solutions_on_grid (one
+    homotopy path, else coordinate descent); a solution whose KKT residual
+    exceeds KKT_TOL raises ConvergenceFailure, whichever route produced it.
     """
-    lam_min = min(lambdas)
-    try:
-        path = fit_lasso_path(half, stop_lambda=lam_min)
-    except PathTie:
-        path = None
-    if path is not None and (path.completed or path.terminal_lambda <= lam_min):
-        sel: set[int] = set()
-        for lam in lambdas:
-            sel.update(np.flatnonzero(path.coefficients_at(lam)).tolist())
-        return sel
-    sel = set()
-    for lam in lambdas:
-        sel |= fit_lasso_at(half, lam).support
+    grid = np.unique(lambdas)[::-1]
+    sel: set[int] = set()
+    for lam, coef in zip(grid, solutions_on_grid(half, grid)):
+        resid = kkt_residual(half, coef, lam)
+        if resid > KKT_TOL:
+            raise ConvergenceFailure(resid, None)
+        sel.update(np.flatnonzero(coef).tolist())
     return sel
+
+
+def map_halves(data: DataSet, halves, fit, threads: int) -> list:
+    """fit(label, half data) for every (label, rows) in `halves`, in order.
+
+    The one place where half samples are cut from `data` and dispatched,
+    serially or on a pool of `threads` threads.  A failure inside `fit` is
+    re-raised as HalfSampleFailure naming the half's label (pair, tag).
+    """
+
+    def solve(item):
+        label, rows = item
+        half = restrict(data, rows)
+        try:
+            return fit(label, half)
+        except Exception as exc:
+            raise HalfSampleFailure(label[0], label[1], exc) from exc
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(solve, halves))
+    return [solve(item) for item in halves]
 
 
 def run_base_selections(
@@ -150,37 +170,22 @@ def run_base_selections(
     if base == "first-k-path" and (first_k is None or first_k < 1):
         raise ValueError("first-k-path base needs a positive first_k")
 
-    tasks = []
-    for b, (first, second) in enumerate(plan.pairs):
-        tasks.append((b, "A", first))
-        tasks.append((b, "Ac", second))
+    def fit(label, half):
+        if base == "fixed-lambda-set":
+            return _fixed_lambda_supports(half, lambdas)
+        if base == "first-k-path":
+            return select_first_k(fit_lasso_path(half), first_k)
+        b, tag = label
+        lam = cross_validate_lambda(
+            half, folds=cv_folds, seed=seed, stream=1 + 2 * b + (tag == "Ac")
+        )
+        return fit_lasso_at(half, lam).support
 
-    def solve(task):
-        b, tag, rows = task
-        half = restrict(data, rows)
-        try:
-            if base == "fixed-lambda-set":
-                sel = _fixed_lambda_supports(half, lambdas)
-            elif base == "first-k-path":
-                sel = set(select_first_k(fit_lasso_path(half), first_k))
-            else:
-                lam = cross_validate_lambda(
-                    half, folds=cv_folds, seed=seed, stream=1 + 2 * b + (tag == "Ac")
-                )
-                sel = set(fit_lasso_at(half, lam).support)
-        except Exception as exc:
-            raise HalfSampleFailure(b, tag, exc) from exc
-        return b, tag, frozenset(sel)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, tasks))
-    else:
-        results = [solve(t) for t in tasks]
-    by_id = {(b, tag): sel for b, tag, sel in results}
+    halves = plan.halves()
+    selected = map_halves(data, halves, fit, threads)
     return [
-        SelectionRecord(pair=b, half=tag, selected=by_id[(b, tag)])
-        for b, tag, _ in tasks
+        SelectionRecord(pair=b, half=tag, selected=sel)
+        for ((b, tag), _), sel in zip(halves, selected)
     ]
 
 

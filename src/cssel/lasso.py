@@ -45,15 +45,19 @@ class PathTie(Exception):
 
 
 class ConvergenceFailure(Exception):
-    """Coordinate descent ran out of iterations."""
+    """A solution failed its KKT check.
 
-    def __init__(self, residual: float, iterations: int):
+    iterations counts the coordinate-descent sweeps of fit_lasso_at, and is
+    None for a solution that came from solutions_on_grid.
+    """
+
+    def __init__(self, residual: float, iterations: int | None):
         self.residual = float(residual)
-        self.iterations = int(iterations)
-        super().__init__(
-            f"no convergence after {iterations} sweeps; "
-            f"KKT residual {residual:.3e}"
-        )
+        self.iterations = iterations
+        msg = f"KKT residual {residual:.3e}"
+        if iterations is not None:
+            msg = f"no convergence after {iterations} sweeps; {msg}"
+        super().__init__(msg)
 
 
 class InsufficientPath(Exception):
@@ -453,6 +457,37 @@ def default_lambda_grid(data: DataSet, points: int = 100, min_ratio: float = 1e-
     return np.geomspace(lam1, lam1 * min_ratio, points)
 
 
+def solutions_on_grid(data: DataSet, grid: np.ndarray) -> np.ndarray:
+    """Coefficients (original basis) at each lambda of a decreasing grid.
+
+    Row i solves grid[i].  The rows are read off one homotopy path truncated
+    at the grid's bottom; a knot tie, or a path that saturates above the
+    bottom, falls back to coordinate descent warm-started down the grid, with
+    least squares at lambda 0.  Nothing here certifies the answers: callers
+    that need a certificate check kkt_residual.
+    """
+    grid = np.asarray(grid, dtype=float)
+    try:
+        path = fit_lasso_path(data, stop_lambda=float(grid[-1]))
+    except PathTie:
+        path = None
+    if path is not None and (path.completed or path.terminal_lambda <= grid[-1]):
+        return np.array([path.coefficients_at(lam) for lam in grid])
+
+    U, y, norms = _scaled_view(data)
+    G = U.T @ U
+    c = U.T @ y
+    beta = np.zeros(data.p)
+    out = np.empty((grid.size, data.p))
+    for i, lam in enumerate(grid):
+        if lam == 0.0:
+            beta, *_ = np.linalg.lstsq(U, y, rcond=None)
+        else:
+            beta, _ = _cd_solve(G, c, data.n * lam, beta, CD_TOL, 10000)
+        out[i] = beta / norms
+    return out
+
+
 def cross_validate_lambda(
     data: DataSet,
     folds: int = 10,
@@ -462,12 +497,9 @@ def cross_validate_lambda(
 ) -> float:
     """Pick the grid lambda with the lowest held-out squared error.
 
-    Rows are shuffled once (seeded), split into `folds` chunks.  Each training
-    fold is solved by one homotopy path truncated at the bottom of the grid,
-    and every grid point is scored off that path; a fold whose path cannot
-    cover the grid (a knot tie, or saturation above the smallest lambda)
-    falls back to warm-started coordinate descent along the grid.  Ties in
-    the pooled held-out error break toward the larger lambda.  `stream`
+    Rows are shuffled once (seeded), split into `folds` chunks, and each
+    training fold is solved at every grid point by solutions_on_grid.  Ties
+    in the pooled held-out error break toward the larger lambda.  `stream`
     separates shuffle streams when several CV runs share one seed.
     """
     from .rng import DOMAIN_CV, stream_rng
@@ -498,36 +530,9 @@ def cross_validate_lambda(
             x_off, y_off = Xt.mean(axis=0), yt.mean()
         else:
             x_off, y_off = np.zeros(data.p), 0.0
-        Xc = Xt - x_off
-        yc = yt - y_off
-        norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
-        if np.any(norms == 0.0):
-            raise ValueError("zero-norm column in a CV training fold")
-
         fold = DataSet(X=Xt, y=yt, center=data.center)
-        try:
-            path = fit_lasso_path(fold, stop_lambda=float(grid[-1]))
-        except PathTie:
-            path = None
-        covered = path is not None and (
-            path.completed or path.terminal_lambda <= grid[-1]
-        )
-        if covered:
-            for i, lam in enumerate(grid):
-                pred = (Xv - x_off) @ path.coefficients_at(lam) + y_off
-                sq_err[i] += float(np.sum((yv - pred) ** 2))
-            continue
-
-        Ut = Xc / norms
-        G = Ut.T @ Ut
-        c = Ut.T @ yc
-        beta = np.zeros(data.p)
-        for i, lam in enumerate(grid):
-            if lam == 0.0:
-                beta, *_ = np.linalg.lstsq(Ut, yc, rcond=None)
-            else:
-                beta, _ = _cd_solve(G, c, len(train) * lam, beta, CD_TOL, 10000)
-            pred = (Xv - x_off) @ (beta / norms) + y_off
+        for i, coef in enumerate(solutions_on_grid(fold, grid)):
+            pred = (Xv - x_off) @ coef + y_off
             sq_err[i] += float(np.sum((yv - pred) ** 2))
     return float(grid[int(np.argmin(sq_err))])
 

@@ -162,11 +162,6 @@ def gen_weighted_instance(seed: int, index: int, n: int = 200) -> SimInstance:
     )
 
 
-def gen_sparse_sim(seed: int, reps: int, n: int = 200):
-    """Stream of sparse-design replications."""
-    return (gen_sparse_instance(seed, i, n) for i in range(reps))
-
-
 def gen_two_proxy_instance(
     n: int,
     sigma_eps_sq: float,

@@ -38,6 +38,13 @@ class SubsamplePlan:
             if self.n % 2 == 0 and len(union) != self.n:
                 raise ValueError(f"pair {b}: even n must use every row")
 
+    def halves(self) -> list[tuple[tuple[int, str], tuple[int, ...]]]:
+        """((b, "A"), rows) and ((b, "Ac"), rows) for every pair b, in order."""
+        out = []
+        for b, (first, second) in enumerate(self.pairs):
+            out += [((b, "A"), first), ((b, "Ac"), second)]
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -95,6 +95,9 @@ def test_solver_failure_is_labeled():
     with pytest.raises(HalfSampleFailure) as info:
         stability_selection_ss(bad, plan, (0.1,))
     assert info.value.pair == 0 and info.value.half == "A"
+    with pytest.raises(HalfSampleFailure) as info:
+        stability_selection_mb(bad, draw_half_samples(bad.n, B=2, seed=0), (0.1,))
+    assert info.value.pair == 0 and info.value.half == "subsample"
 
 
 def test_marginal_prototypes_pick_strongest_member():

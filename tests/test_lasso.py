@@ -22,6 +22,7 @@ from cssel.lasso import (
     lambda_max,
     ols_fit,
     select_first_k,
+    solutions_on_grid,
 )
 from cssel.simgen import gen_sparse_instance
 from cssel.subsampling import draw_complementary_pairs, restrict
@@ -534,25 +535,54 @@ def test_path_with_drops_and_reentries_matches_descent():
         assert np.max(np.abs(path.coefficients_at(lam) - fit.coefficients)) < 1e-6
 
 
-def test_wide_half_sample_saturates_and_falls_back_to_descent(monkeypatch):
+def test_wide_half_sample_saturates_and_falls_back_to_descent():
     """p > n: the path stops with n active features, below it CD takes over."""
     half = restrict(gen_sparse_instance(0, 0).data, range(10))
     path = fit_lasso_path(half)
     assert path.saturated and not path.completed
     assert np.count_nonzero(path.terminal_coefs) == half.n - 1
     lambdas = (2 * path.terminal_lambda, 0.9 * path.terminal_lambda)
-    fits = []
-
-    def recording_fit(data, lam):
-        fits.append(fit_lasso_at(data, lam))
-        return fits[-1]
-
-    monkeypatch.setattr(core, "fit_lasso_at", recording_fit)
+    fits = [fit_lasso_at(half, lam) for lam in lambdas]
     support = core._fixed_lambda_supports(half, lambdas)
-    assert [fit.lam for fit in fits] == list(lambdas)
     assert support == set().union(*(fit.support for fit in fits))
-    for fit in fits:
-        assert kkt_residual(half, fit.coefficients, fit.lam) <= KKT_TOL
+    for lam, coef in zip(lambdas, solutions_on_grid(half, lambdas)):
+        assert kkt_residual(half, coef, lam) <= KKT_TOL
+
+
+def test_solutions_on_grid_reads_the_path_on_tall_data():
+    rng = np.random.default_rng(27)
+    data = random_instance(rng, 60, 8)
+    grid = np.geomspace(lambda_max(data), 0.01 * lambda_max(data), 12)
+    path = fit_lasso_path(data, stop_lambda=grid[-1])
+    assert path.completed or path.terminal_lambda <= grid[-1]
+    for lam, coef in zip(grid, solutions_on_grid(data, grid)):
+        fit = fit_lasso_at(data, lam)
+        assert np.max(np.abs(coef - fit.coefficients)) < 1e-6
+
+
+def test_solutions_on_grid_descends_past_a_path_tie():
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal(30)
+    X = np.column_stack([x, x, rng.standard_normal((30, 3))])
+    data = DataSet(X=X, y=x + 0.3 * rng.standard_normal(30))
+    with pytest.raises(PathTie):
+        fit_lasso_path(data)
+    grid = np.append(default_lambda_grid(data, points=10), 0.0)
+    coefs = solutions_on_grid(data, grid)
+    assert coefs.shape == (grid.size, data.p)
+    for lam, coef in zip(grid, coefs):
+        assert kkt_residual(data, coef, lam) <= KKT_TOL
+
+
+def test_fixed_lambda_supports_ignore_order_and_repeats():
+    rng = np.random.default_rng(29)
+    data = random_instance(rng, 50, 10, sparsity=5)
+    lam1 = lambda_max(data)
+    ordered = (0.5 * lam1, 0.1 * lam1, 0.02 * lam1)
+    shuffled = (ordered[1], ordered[2], ordered[0], ordered[1])
+    support = core._fixed_lambda_supports(data, ordered)
+    assert core._fixed_lambda_supports(data, shuffled) == support
+    assert support == set().union(*(fit_lasso_at(data, l).support for l in ordered))
 
 
 def test_bordered_factor_matches_cholesky_and_flags_dependence():

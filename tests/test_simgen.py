@@ -17,7 +17,6 @@ from cssel.simgen import (
     SimTruth,
     gen_proxy_instance,
     gen_sparse_instance,
-    gen_sparse_sim,
     gen_two_proxy_instance,
     gen_weighted_instance,
     instance_to_csv,
@@ -44,9 +43,6 @@ def test_instances_are_pure_functions_of_seed_and_index():
     d = gen_sparse_instance(6, 3, n=50)
     assert not np.array_equal(a.data.X, c.data.X)
     assert not np.array_equal(a.data.X, d.data.X)
-    # the generator stream sees instances in index order
-    from_stream = list(gen_sparse_sim(5, 4, n=50))
-    np.testing.assert_array_equal(from_stream[3].data.X, a.data.X)
 
 
 def test_sparse_design_moments():

@@ -99,3 +99,12 @@ def test_restrict_selects_rows_and_keeps_metadata():
     assert np.array_equal(sub.y, y[[2, 5, 7]])
     assert sub.feature_names == ("a", "b", "c")
     assert sub.center is True
+
+
+def test_halves_list_each_pair_first_then_complement():
+    plan = draw_complementary_pairs(10, B=3, seed=4)
+    halves = plan.halves()
+    assert [label for label, _ in halves] == [
+        (0, "A"), (0, "Ac"), (1, "A"), (1, "Ac"), (2, "A"), (2, "Ac")
+    ]
+    assert [rows for _, rows in halves] == [rows for pair in plan.pairs for rows in pair]
