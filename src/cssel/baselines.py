@@ -18,18 +18,16 @@ def _per_lambda_proportions(data: DataSet, halves, lambdas, threads: int) -> np.
     lambdas = tuple(float(l) for l in lambdas)
     if not lambdas:
         raise ValueError("need at least one lambda")
-    supports = map_halves(
+    # S[i, l, j]: whether half i selected feature j at lambdas[l]
+    S = map_halves(
         data,
         halves,
-        lambda label, half: [fit_lasso_at(half, lam).support for lam in lambdas],
+        lambda label, half: [
+            fit_lasso_at(half, lam).coefficients != 0 for lam in lambdas
+        ],
         threads,
     )
-    counts = np.zeros((len(lambdas), data.p))
-    for per_set in supports:
-        for i, sup in enumerate(per_set):
-            for j in sup:
-                counts[i, j] += 1
-    return (counts / len(halves)).max(axis=0)
+    return np.mean(S, axis=0).max(axis=0)
 
 
 def stability_selection_ss(

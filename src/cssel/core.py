@@ -83,20 +83,6 @@ class ClusterPartition:
         return out
 
 
-@dataclass(frozen=True)
-class SelectionRecord:
-    """One half sample's selected features, already unioned over lambdas."""
-
-    pair: int
-    half: str  # "A" or "Ac"
-    selected: frozenset[int]
-
-    def __post_init__(self):
-        if self.half not in ("A", "Ac"):
-            raise ValueError(f"half tag must be 'A' or 'Ac', got {self.half!r}")
-        object.__setattr__(self, "selected", frozenset(int(j) for j in self.selected))
-
-
 class HalfSampleFailure(RuntimeError):
     """A solver failed on one half sample."""
 
@@ -154,8 +140,12 @@ def run_base_selections(
     cv_folds: int = 10,
     seed: int = 0,
     threads: int = 1,
-) -> list[SelectionRecord]:
+) -> np.ndarray:
     """Run the base selector on all 2B half samples.
+
+    Returns the (2B, p) boolean selection matrix S: row 2b is half A of pair
+    b, row 2b + 1 its complement Ac, and S[i, j] says whether half i
+    selected feature j.
 
     base "fixed-lambda-set": union of lasso supports over the given lambdas.
     base "first-k-path": the first `first_k` features to enter the path.
@@ -181,62 +171,43 @@ def run_base_selections(
         )
         return fit_lasso_at(half, lam).support
 
-    halves = plan.halves()
-    selected = map_halves(data, halves, fit, threads)
-    return [
-        SelectionRecord(pair=b, half=tag, selected=sel)
-        for ((b, tag), _), sel in zip(halves, selected)
-    ]
+    S = np.zeros((2 * plan.B, data.p), dtype=bool)
+    for row, sel in zip(S, map_halves(data, plan.halves(), fit, threads)):
+        row[list(sel)] = True
+    return S
 
 
-def feature_proportions(records: list[SelectionRecord], p: int) -> np.ndarray:
-    """Fraction of half samples selecting each feature."""
-    if not records:
-        raise ValueError("no records")
-    counts = np.zeros(p)
-    for rec in records:
-        for j in rec.selected:
-            if not 0 <= j < p:
-                raise ValueError(f"feature {j} out of range for p={p}")
-            counts[j] += 1
-    return counts / len(records)
+def _cluster_hits(S: np.ndarray, partition: ClusterPartition) -> np.ndarray:
+    """(halves, K) boolean: whether each half selected any member of each cluster."""
+    S = np.asarray(S, dtype=bool)
+    if S.ndim != 2 or S.shape[1] != partition.p or len(S) == 0:
+        raise ValueError(f"need a nonempty (halves, {partition.p}) selection matrix")
+    members = np.concatenate(partition.clusters)
+    starts = np.cumsum([0] + [len(c) for c in partition.clusters[:-1]])
+    return np.logical_or.reduceat(S[:, members], starts, axis=1)
 
 
-def cluster_proportions(
-    records: list[SelectionRecord], partition: ClusterPartition
-) -> np.ndarray:
+def feature_proportions(S: np.ndarray) -> np.ndarray:
+    """Fraction of half samples (rows of S) selecting each feature."""
+    S = np.asarray(S, dtype=bool)
+    if S.ndim != 2 or len(S) == 0:
+        raise ValueError("need a nonempty (halves, p) selection matrix")
+    return S.mean(axis=0)
+
+
+def cluster_proportions(S: np.ndarray, partition: ClusterPartition) -> np.ndarray:
     """Fraction of half samples hitting each cluster (any member selected)."""
-    if not records:
-        raise ValueError("no records")
-    counts = np.zeros(partition.K)
-    sets = [set(c) for c in partition.clusters]
-    for rec in records:
-        for k, members in enumerate(sets):
-            if rec.selected & members:
-                counts[k] += 1
-    return counts / len(records)
+    return _cluster_hits(S, partition).mean(axis=0)
 
 
 def simultaneous_cluster_proportions(
-    records: list[SelectionRecord], partition: ClusterPartition
+    S: np.ndarray, partition: ClusterPartition
 ) -> np.ndarray:
-    """Fraction of pairs hitting each cluster in both halves."""
-    halves: dict[int, dict[str, frozenset[int]]] = {}
-    for rec in records:
-        slot = halves.setdefault(rec.pair, {})
-        if rec.half in slot:
-            raise ValueError(f"duplicate record for pair {rec.pair} half {rec.half}")
-        slot[rec.half] = rec.selected
-    for b, slot in halves.items():
-        if set(slot) != {"A", "Ac"}:
-            raise ValueError(f"pair {b} is missing a half; records must be paired")
-    counts = np.zeros(partition.K)
-    sets = [set(c) for c in partition.clusters]
-    for slot in halves.values():
-        for k, members in enumerate(sets):
-            if (slot["A"] & members) and (slot["Ac"] & members):
-                counts[k] += 1
-    return counts / len(halves)
+    """Fraction of pairs hitting each cluster in both halves (rows 2b, 2b + 1)."""
+    hits = _cluster_hits(S, partition)
+    if len(hits) % 2:
+        raise ValueError(f"{len(hits)} rows; pairs need an even count (A, Ac)")
+    return (hits[0::2] & hits[1::2]).mean(axis=0)
 
 
 def compute_weights(
@@ -373,7 +344,7 @@ def run_css(
         plan = draw_complementary_pairs(data.n, B, seed)
     if base == "fixed-lambda-set" and lambdas is None:
         lambdas = (cross_validate_lambda(data, folds=cv_folds, seed=seed),)
-    records = run_base_selections(
+    S = run_base_selections(
         data,
         plan,
         lambdas=lambdas,
@@ -384,8 +355,8 @@ def run_css(
         threads=threads,
     )
     return summarize_records(
-        data, partition, records, scheme,
-        B=plan.B, base=base,
+        data, partition, S, scheme,
+        base=base,
         lambdas=None if lambdas is None else tuple(float(l) for l in lambdas),
         seed=seed,
     )
@@ -394,16 +365,15 @@ def run_css(
 def summarize_records(
     data: DataSet,
     partition: ClusterPartition,
-    records: list[SelectionRecord],
+    S: np.ndarray,
     scheme: str,
-    B: int,
     base: str,
     lambdas: tuple[float, ...] | None,
     seed: int,
 ) -> CssResult:
-    """Aggregate half-sample records into a CssResult."""
-    props = feature_proportions(records, partition.p)
-    cprops = cluster_proportions(records, partition)
+    """Aggregate a (2B, p) selection matrix into a CssResult."""
+    props = feature_proportions(S)
+    cprops = cluster_proportions(S, partition)
     weights = []
     fallback = []
     reps = np.empty((data.n, partition.K))
@@ -420,7 +390,7 @@ def summarize_records(
         weight_fallback=tuple(fallback),
         representatives=reps,
         scheme=scheme,
-        B=B,
+        B=len(S) // 2,
         base=base,
         lambdas=lambdas,
         seed=seed,

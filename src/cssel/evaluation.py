@@ -108,7 +108,10 @@ def nogueira_stability(S) -> float | None:
 def nogueira_stability_ci(
     S, level: float = 0.95
 ) -> tuple[float, float, float] | None:
-    """(estimate, lo, hi) by the metric's influence-function variance."""
+    """(estimate, lo, hi) by the metric's influence-function variance.
+
+    The normal interval is cut at 1, which the metric cannot exceed.
+    """
     S = _check_selection_matrix(S)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
@@ -129,7 +132,7 @@ def nogueira_stability_ci(
     var = 4.0 / M**2 * float(((phi_i - phi_i.mean()) ** 2).sum())
     z = float(ndtri(0.5 + level / 2.0))
     half = z * np.sqrt(var)
-    return phi_hat, phi_hat - half, phi_hat + half
+    return phi_hat, phi_hat - half, min(phi_hat + half, 1.0)
 
 
 def model_size(selected, mode: str = "fitted-coefficients") -> int:

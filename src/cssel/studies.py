@@ -38,7 +38,7 @@ from .evaluation import (
     write_method_size_csv,
 )
 from .lasso import cross_validate_lambda, fit_lasso_path
-from .oracle import vote_splitting_interval
+from .oracle import error_bound_rhs, vote_splitting_interval
 from .rng import DOMAIN_STUDY, stream_rng
 from .simgen import (
     EVAL_STREAM_OFFSET,
@@ -115,7 +115,7 @@ def _union_kept(partition, weights, selected):
     return tuple(sorted(feats))
 
 
-def _rep_selections(study, inst, partition, records, props, cprops):
+def _rep_selections(study, inst, partition, props, cprops):
     """Per method and size: (selected feature set, refit column specs).
 
     A (method, size) entry is absent when that size is undefined for the
@@ -188,18 +188,16 @@ def _run_design_study(study, reps, seed, test_n, threads, log) -> StudyResult:
         rs = _rep_seed(seed, r)
         lam = cross_validate_lambda(inst.data, seed=rs)
         plan = draw_complementary_pairs(inst.data.n, B_STUDY, rs)
-        records = run_base_selections(
-            inst.data, plan, lambdas=(lam,), threads=threads
-        )
-        props = feature_proportions(records, p)
-        cprops = cluster_proportions(records, partition)
+        S = run_base_selections(inst.data, plan, lambdas=(lam,), threads=threads)
+        props = feature_proportions(S)
+        cprops = cluster_proportions(S, partition)
 
         proxies = inst.truth.proxy_columns
         signals = [j for j, b in enumerate(inst.truth.betas) if b != 0.0]
         if props[list(proxies)].max() < props[signals].max():
             proxy_pattern_hits += 1
 
-        chosen = _rep_selections(study, inst, partition, records, props, cprops)
+        chosen = _rep_selections(study, inst, partition, props, cprops)
         for (method, s), (feats, cols) in chosen.items():
             mse = refit_and_mse(inst.data, cols, test.data.X, test.mu)
             mses.setdefault((method, s), {})[r] = mse
@@ -355,17 +353,17 @@ def _run_two_proxy_study(
         )
         rs = _rep_seed(seed, index)
         plan = draw_complementary_pairs(inst.data.n, B_STUDY, rs)
-        records = run_base_selections(
+        S = run_base_selections(
             inst.data, plan, base="first-k-path", first_k=2, threads=threads
         )
-        return inst, records
+        return inst, S
 
     for r in range(reps):
-        inst, records = _css_cluster_props(r)
+        inst, S = _css_cluster_props(r)
         first2 = tuple(fit_lasso_path(inst.data).entry_order()[:2])
         pair_counts[first2] = pair_counts.get(first2, 0) + 1
-        props = feature_proportions(records, 3)
-        cprops = cluster_proportions(records, partition)
+        props = feature_proportions(S)
+        cprops = cluster_proportions(S, partition)
         props_sum += props
         cprops_all.append(cprops)
         if cprops[0] >= cprops[1]:
@@ -375,17 +373,14 @@ def _run_two_proxy_study(
 
     pilot_sim = np.zeros(2)
     for r in range(pilot_reps):
-        _, records = _css_cluster_props(PILOT_STREAM_OFFSET + r)
-        pilot_sim += simultaneous_cluster_proportions(records, partition)
+        _, S = _css_cluster_props(PILOT_STREAM_OFFSET + r)
+        pilot_sim += simultaneous_cluster_proportions(S, partition)
     theta = float((pilot_sim / pilot_reps).max()) if pilot_reps else 1.0
 
-    factor = theta / (2.0 * tau - 1.0)
-    diffs = []
-    for cprops in cprops_all[:eval_reps]:
-        lhs = float(np.sum(cprops >= tau))
-        rhs = factor * float(cprops.sum())
-        diffs.append(lhs - rhs)
-    diffs = np.array(diffs)
+    evaluated = cprops_all[:eval_reps]
+    lhs = np.array([float(np.sum(c >= tau)) for c in evaluated])
+    rhs = np.array([error_bound_rhs(theta, tau, float(c.sum())) for c in evaluated])
+    diffs = lhs - rhs
     bound_se = (
         float(diffs.std(ddof=1) / math.sqrt(len(diffs))) if len(diffs) >= 2 else 0.0
     )
@@ -426,12 +421,8 @@ def _run_two_proxy_study(
             "theta_pilot": theta,
             "pilot_reps": pilot_reps,
             "eval_reps": len(diffs),
-            "mean_selected_low": float(
-                np.mean([np.sum(c >= tau) for c in cprops_all[:eval_reps]])
-            ),
-            "mean_rhs": float(
-                np.mean([factor * c.sum() for c in cprops_all[:eval_reps]])
-            ),
+            "mean_selected_low": float(lhs.mean()),
+            "mean_rhs": float(rhs.mean()),
             "mean_gap_lhs_minus_rhs": float(diffs.mean()),
             "se_gap": bound_se,
             "holds_within_3se": bool(diffs.mean() <= 3.0 * bound_se),

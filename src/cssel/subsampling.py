@@ -16,41 +16,50 @@ from .data import DataSet
 from .rng import DOMAIN_SUBSAMPLE, stream_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsamplePlan:
+    """B complementary pairs as one read-only integer array of shape (B, 2, m).
+
+    pairs[b, 0] holds the rows of half A of pair b and pairs[b, 1] those of
+    its complement Ac, m = n // 2 rows each.  Any integer array-like of that
+    shape is accepted and copied.
+    """
+
     n: int
     B: int
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    pairs: np.ndarray
 
     def __post_init__(self):
-        if len(self.pairs) != self.B:
-            raise ValueError(f"{len(self.pairs)} pairs for B={self.B}")
+        pairs = np.array(self.pairs)
         m = self.n // 2
-        for b, (first, second) in enumerate(self.pairs):
-            a, c = set(first), set(second)
-            if len(first) != m or len(second) != m:
-                raise ValueError(f"pair {b}: halves must have {m} rows each")
-            if a & c:
-                raise ValueError(f"pair {b}: halves overlap")
-            union = a | c
-            if not union <= set(range(self.n)):
-                raise ValueError(f"pair {b}: row index out of range")
-            if self.n % 2 == 0 and len(union) != self.n:
-                raise ValueError(f"pair {b}: even n must use every row")
+        if pairs.shape != (self.B, 2, m):
+            raise ValueError(f"need pairs of shape ({self.B}, 2, {m}), got {pairs.shape}")
+        if not np.issubdtype(pairs.dtype, np.integer):
+            raise ValueError("row indexes must be integers")
+        pairs = pairs.astype(np.intp, copy=False)
+        bad = ((pairs < 0) | (pairs >= self.n)).any(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"pair {np.argmax(bad)}: row index out of range")
+        # row r of pair b counts in bin b * n + r; 2m rows without a repeat
+        # use every row when n = 2m is even
+        flat = (pairs + self.n * np.arange(self.B)[:, None, None]).ravel()
+        uses = np.bincount(flat, minlength=self.B * self.n).reshape(self.B, self.n)
+        bad = (uses > 1).any(axis=1)
+        if bad.any():
+            raise ValueError(f"pair {np.argmax(bad)}: halves overlap or repeat a row")
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
 
-    def halves(self) -> list[tuple[tuple[int, str], tuple[int, ...]]]:
+    def halves(self) -> list[tuple[tuple[int, str], np.ndarray]]:
         """((b, "A"), rows) and ((b, "Ac"), rows) for every pair b, in order."""
-        out = []
-        for b, (first, second) in enumerate(self.pairs):
-            out += [((b, "A"), first), ((b, "Ac"), second)]
-        return out
+        return [
+            ((b, tag), rows)
+            for b, pair in enumerate(self.pairs)
+            for tag, rows in zip(("A", "Ac"), pair)
+        ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "B": self.B,
-            "pairs": [[list(a), list(c)] for a, c in self.pairs],
-        }
+        return {"n": self.n, "B": self.B, "pairs": self.pairs.tolist()}
 
 
 def draw_complementary_pairs(n: int, B: int, seed: int) -> SubsamplePlan:
@@ -60,31 +69,27 @@ def draw_complementary_pairs(n: int, B: int, seed: int) -> SubsamplePlan:
     if B < 1:
         raise ValueError("need at least one pair")
     m = n // 2
-    pairs = []
-    for b in range(B):
-        perm = stream_rng(seed, DOMAIN_SUBSAMPLE, b).permutation(n)
-        first = tuple(sorted(int(i) for i in perm[:m]))
-        second = tuple(sorted(int(i) for i in perm[m : 2 * m]))
-        pairs.append((first, second))
-    return SubsamplePlan(n=n, B=B, pairs=tuple(pairs))
+    perms = np.array(
+        [stream_rng(seed, DOMAIN_SUBSAMPLE, b).permutation(n)[: 2 * m] for b in range(B)]
+    )
+    return SubsamplePlan(n=n, B=B, pairs=np.sort(perms.reshape(B, 2, m), axis=2))
 
 
-def draw_half_samples(n: int, B: int, seed: int) -> list[tuple[int, ...]]:
-    """B unpaired half samples (one per pair stream)."""
-    return [pair[0] for pair in draw_complementary_pairs(n, B, seed).pairs]
+def draw_half_samples(n: int, B: int, seed: int) -> np.ndarray:
+    """B unpaired half samples (one per pair stream), as a (B, n // 2) array."""
+    return draw_complementary_pairs(n, B, seed).pairs[:, 0]
 
 
 def restrict(data: DataSet, indices) -> DataSet:
     """The sub-DataSet on the given rows, in ascending row order."""
-    rows = sorted(int(i) for i in indices)
-    if not rows:
+    rows = np.sort(np.asarray(indices, dtype=np.intp))
+    if rows.size == 0:
         raise ValueError("empty row set")
     if rows[0] < 0 or rows[-1] >= data.n:
         raise ValueError(f"row index out of range for n={data.n}")
-    idx = np.array(rows)
     return DataSet(
-        X=data.X[idx],
-        y=data.y[idx],
+        X=data.X[rows],
+        y=data.y[rows],
         feature_names=data.feature_names,
         center=data.center,
     )

@@ -356,7 +356,7 @@ def test_11_reductions_to_plain_stability_selection():
         # union over a lambda set dominates every per-lambda maximum
         lambdas = (0.3, 0.1, 0.05)
         union = feature_proportions(
-            run_base_selections(data, plan, lambdas=lambdas), p
+            run_base_selections(data, plan, lambdas=lambdas)
         )
         per_lam_max = stability_selection_ss(data, plan, lambdas)
         assert np.all(union >= per_lam_max)

@@ -38,8 +38,8 @@ def test_ss_single_lambda_equals_union_proportions():
     plan = draw_complementary_pairs(data.n, B=5, seed=3)
     lam = 0.15
     props = stability_selection_ss(data, plan, (lam,))
-    records = run_base_selections(data, plan, lambdas=(lam,))
-    np.testing.assert_array_equal(props, feature_proportions(records, data.p))
+    S = run_base_selections(data, plan, lambdas=(lam,))
+    np.testing.assert_array_equal(props, feature_proportions(S))
 
 
 def test_ss_max_rule_and_union_dominance():
@@ -49,9 +49,7 @@ def test_ss_max_rule_and_union_dominance():
     combined = stability_selection_ss(data, plan, lambdas)
     per_lam = [stability_selection_ss(data, plan, (lam,)) for lam in lambdas]
     np.testing.assert_array_equal(combined, np.maximum(*per_lam))
-    union = feature_proportions(
-        run_base_selections(data, plan, lambdas=lambdas), data.p
-    )
+    union = feature_proportions(run_base_selections(data, plan, lambdas=lambdas))
     assert np.all(union >= combined - 1e-15)
 
 

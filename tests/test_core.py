@@ -7,7 +7,6 @@ from cssel.core import (
     ClusterPartition,
     CssResult,
     HalfSampleFailure,
-    SelectionRecord,
     candidate_sets,
     cluster_proportions,
     cluster_representative,
@@ -34,8 +33,15 @@ def small_instance(seed, n=60, p=6, strong=(0, 1)):
     return DataSet(X=X, y=y)
 
 
-def rec(pair, half, feats):
-    return SelectionRecord(pair=pair, half=half, selected=frozenset(feats))
+def selections(p, *halves):
+    """(len(halves), p) selection matrix: row i marks the features of halves[i].
+
+    Rows come in plan order, half A of pair b in row 2b and Ac in row 2b + 1.
+    """
+    S = np.zeros((len(halves), p), dtype=bool)
+    for row, feats in zip(S, halves):
+        row[list(feats)] = True
+    return S
 
 
 # partitions
@@ -70,66 +76,86 @@ def test_singleton_partition_covers_every_feature():
     assert part.cluster_of().tolist() == [0, 1, 2, 3]
 
 
-def test_selection_record_validates_half_tag():
-    with pytest.raises(ValueError):
-        SelectionRecord(pair=0, half="B", selected=frozenset())
-    r = rec(3, "Ac", [np.int64(2), 0])
-    assert r.selected == frozenset({0, 2})
-
-
 # proportions
 
 
 def test_feature_proportions_count_hits_over_all_halves():
-    records = [
-        rec(0, "A", {0, 1}),
-        rec(0, "Ac", {0}),
-        rec(1, "A", {0, 2}),
-        rec(1, "Ac", set()),
-    ]
-    props = feature_proportions(records, p=4)
+    S = selections(4, {0, 1}, {0}, {0, 2}, set())
+    props = feature_proportions(S)
     assert props.tolist() == [0.75, 0.25, 0.25, 0.0]
     with pytest.raises(ValueError):
-        feature_proportions([], p=4)
+        feature_proportions(np.zeros((0, 4), dtype=bool))
     with pytest.raises(ValueError):
-        feature_proportions([rec(0, "A", {4})], p=4)
+        feature_proportions(S[0])  # one row, not a matrix
 
 
 def test_cluster_proportions_use_any_member_rule():
     part = ClusterPartition(clusters=((0, 1), (2,)))
-    records = [
-        rec(0, "A", {0}),
-        rec(0, "Ac", {1}),
-        rec(1, "A", {0, 1}),
-        rec(1, "Ac", {2}),
-    ]
-    cp = cluster_proportions(records, part)
+    S = selections(3, {0}, {1}, {0, 1}, {2})
+    cp = cluster_proportions(S, part)
     # cluster 0 is hit whenever either member appears
     assert cp.tolist() == [0.75, 0.25]
+    with pytest.raises(ValueError):
+        cluster_proportions(S[:, :2], part)  # a column per feature required
+    with pytest.raises(ValueError):
+        cluster_proportions(S[:0], part)
 
 
 def test_simultaneous_proportions_need_hits_in_both_halves():
     part = ClusterPartition(clusters=((0, 1), (2,)))
-    records = [
-        rec(0, "A", {0}),
-        rec(0, "Ac", {1}),  # different members still count for the cluster
-        rec(1, "A", {0, 2}),
-        rec(1, "Ac", {2}),
-    ]
-    sp = simultaneous_cluster_proportions(records, part)
+    # pair 0: different members still count for the cluster
+    S = selections(3, {0}, {1}, {0, 2}, {2})
+    sp = simultaneous_cluster_proportions(S, part)
     assert sp.tolist() == [0.5, 0.5]
-    cp = cluster_proportions(records, part)
+    cp = cluster_proportions(S, part)
     assert np.all(sp <= cp + 1e-15)
 
 
-def test_simultaneous_proportions_reject_broken_pairing():
+def test_simultaneous_proportions_reject_odd_row_count():
     part = ClusterPartition.singletons(1)
-    with pytest.raises(ValueError):
-        simultaneous_cluster_proportions(
-            [rec(0, "A", {0}), rec(0, "A", {0})], part
-        )
-    with pytest.raises(ValueError):
-        simultaneous_cluster_proportions([rec(0, "A", {0})], part)
+    with pytest.raises(ValueError, match="even"):
+        simultaneous_cluster_proportions(selections(1, {0}), part)
+    with pytest.raises(ValueError, match="even"):
+        simultaneous_cluster_proportions(selections(1, {0}, {0}, {0}), part)
+
+
+def reference_proportions(S, partition):
+    """The per-half set loops that the array reductions replaced."""
+    halves = [
+        (i // 2, "A" if i % 2 == 0 else "Ac", frozenset(np.flatnonzero(row).tolist()))
+        for i, row in enumerate(S)
+    ]
+    counts = np.zeros(S.shape[1])
+    for _, _, sel in halves:
+        for j in sel:
+            counts[j] += 1
+    sets = [set(c) for c in partition.clusters]
+    hits = np.zeros(partition.K)
+    for _, _, sel in halves:
+        for k, members in enumerate(sets):
+            if sel & members:
+                hits[k] += 1
+    by_pair: dict = {}
+    for b, tag, sel in halves:
+        by_pair.setdefault(b, {})[tag] = sel
+    both = np.zeros(partition.K)
+    for slot in by_pair.values():
+        for k, members in enumerate(sets):
+            if (slot["A"] & members) and (slot["Ac"] & members):
+                both[k] += 1
+    return counts / len(halves), hits / len(halves), both / len(by_pair)
+
+
+def test_reductions_match_per_half_set_loops():
+    rng = np.random.default_rng(13)
+    S = rng.uniform(size=(40, 12)) < 0.25
+    S[6] = False  # a half that selects nothing
+    part = ClusterPartition(clusters=((0, 5, 7), (1,), (2, 3, 4, 8, 9), (6,), (10, 11)))
+    feat, clus, both = reference_proportions(S, part)
+    assert np.array_equal(feature_proportions(S), feat)
+    assert np.array_equal(cluster_proportions(S, part), clus)
+    assert np.array_equal(simultaneous_cluster_proportions(S, part), both)
+    assert 0 < both.min() and clus.max() < 1  # neither reduction is trivial
 
 
 # weights and representatives
@@ -205,10 +231,10 @@ def test_select_top_s_returns_none_on_boundary_tie():
 
 def test_threshold_select_reports_kept_members():
     part = ClusterPartition(clusters=((0, 1), (2,)))
-    records = [rec(0, "A", {0}), rec(0, "Ac", {0, 2})]
+    S = selections(3, {0}, {0, 2})
     data = small_instance(1, n=20, p=3)
     res = summarize_records(
-        data, part, records, "sparse", B=1, base="fixed-lambda-set",
+        data, part, S, "sparse", base="fixed-lambda-set",
         lambdas=(0.1,), seed=0,
     )
     picked = threshold_select(res, tau=0.9)
@@ -228,17 +254,15 @@ def test_base_selections_are_ordered_and_match_per_lambda_solver():
     data = small_instance(2, n=50, p=5)
     plan = draw_complementary_pairs(data.n, B=4, seed=7)
     lambdas = (0.3, 0.08)
-    records = run_base_selections(data, plan, lambdas=lambdas)
-    assert [(r.pair, r.half) for r in records] == [
-        (b, h) for b in range(4) for h in ("A", "Ac")
-    ]
-    for r in records:
-        rows = plan.pairs[r.pair][0 if r.half == "A" else 1]
+    S = run_base_selections(data, plan, lambdas=lambdas)
+    assert S.shape == (8, data.p) and S.dtype == bool
+    for i, row in enumerate(S):
+        rows = plan.pairs[i // 2][i % 2]  # row 2b is half A, 2b + 1 is Ac
         half = restrict(data, rows)
         direct = set()
         for lam in lambdas:
             direct |= fit_lasso_at(half, lam).support
-        assert r.selected == frozenset(direct)
+        assert set(np.flatnonzero(row).tolist()) == direct
 
 
 def test_base_selections_validate_arguments():
@@ -255,9 +279,10 @@ def test_base_selections_validate_arguments():
 def test_first_k_base_caps_selection_size():
     data = small_instance(4, n=60, p=6)
     plan = draw_complementary_pairs(data.n, B=3, seed=1)
-    records = run_base_selections(data, plan, base="first-k-path", first_k=2)
-    assert all(len(r.selected) <= 2 for r in records)
-    assert any(len(r.selected) == 2 for r in records)
+    S = run_base_selections(data, plan, base="first-k-path", first_k=2)
+    assert len(S) == 6
+    assert all(S.sum(axis=1) <= 2)
+    assert any(S.sum(axis=1) == 2)
 
 
 def test_cv_base_is_deterministic():
@@ -265,8 +290,8 @@ def test_cv_base_is_deterministic():
     plan = draw_complementary_pairs(data.n, B=2, seed=2)
     a = run_base_selections(data, plan, base="cv-lambda-per-half", seed=9)
     b = run_base_selections(data, plan, base="cv-lambda-per-half", seed=9)
-    assert a == b
-    assert all(r.selected for r in a)  # strong signal survives CV
+    assert np.array_equal(a, b)
+    assert a.any(axis=1).all()  # strong signal survives CV
 
 
 def test_half_sample_failure_names_the_half():
@@ -286,7 +311,7 @@ def test_threads_do_not_change_records():
     plan = draw_complementary_pairs(data.n, B=6, seed=3)
     one = run_base_selections(data, plan, lambdas=(0.2, 0.05), threads=1)
     four = run_base_selections(data, plan, lambdas=(0.2, 0.05), threads=4)
-    assert one == four
+    assert np.array_equal(one, four)
 
 
 # full runs
@@ -342,10 +367,10 @@ def test_result_serialization_round_trip():
 
 def test_weight_fallback_marks_never_selected_clusters():
     part = ClusterPartition(clusters=((0, 1), (2,)))
-    records = [rec(0, "A", {2}), rec(0, "Ac", {2})]
+    S = selections(3, {2}, {2})
     data = small_instance(12, n=20, p=3)
     res = summarize_records(
-        data, part, records, "weighted", B=1, base="fixed-lambda-set",
+        data, part, S, "weighted", base="fixed-lambda-set",
         lambdas=(0.1,), seed=0,
     )
     assert res.weight_fallback == (True, False)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cssel.core import ClusterPartition, SelectionRecord, summarize_records
+from cssel.core import ClusterPartition, summarize_records
 from cssel.data import DataSet
 from cssel.dataio import (
     FileFormatError,
@@ -133,14 +133,12 @@ def test_remap_partition_translates_to_reduced_indexes():
 def test_css_result_files_translate_reduced_indexes(tmp_path):
     # run indexes 0..2 stand for original columns 0, 2, 4
     part = ClusterPartition(clusters=((0, 1), (2,)))
-    records = [
-        SelectionRecord(pair=0, half="A", selected=frozenset({0, 2})),
-        SelectionRecord(pair=0, half="Ac", selected=frozenset({0})),
-    ]
+    # one pair: half A selects features 0 and 2, half Ac feature 0
+    S = np.array([[True, False, True], [True, False, False]])
     rng = np.random.default_rng(0)
     data = DataSet(X=rng.standard_normal((10, 3)), y=rng.standard_normal(10))
     res = summarize_records(
-        data, part, records, "sparse", B=1, base="fixed-lambda-set",
+        data, part, S, "sparse", base="fixed-lambda-set",
         lambdas=(0.2,), seed=3,
     )
     out = tmp_path / "run"
@@ -166,14 +164,12 @@ def test_css_result_files_translate_reduced_indexes(tmp_path):
 
 def test_css_result_files_default_to_identity_columns(tmp_path):
     part = ClusterPartition.singletons(2)
-    records = [
-        SelectionRecord(pair=0, half="A", selected=frozenset({1})),
-        SelectionRecord(pair=0, half="Ac", selected=frozenset({1})),
-    ]
+    # one pair, both halves select feature 1
+    S = np.array([[False, True], [False, True]])
     rng = np.random.default_rng(1)
     data = DataSet(X=rng.standard_normal((8, 2)), y=rng.standard_normal(8))
     res = summarize_records(
-        data, part, records, "simple", B=1, base="fixed-lambda-set",
+        data, part, S, "simple", base="fixed-lambda-set",
         lambdas=(0.2,), seed=0,
     )
     write_css_result(tmp_path / "d", res)

@@ -144,6 +144,15 @@ def test_stability_ci_brackets_the_estimate():
         nogueira_stability_ci(S, level=1.0)
 
 
+def test_stability_ci_upper_end_is_cut_at_one():
+    # nine runs pick feature 0 and one picks feature 1: the normal interval
+    # runs past 1 (to about 1.098), which the metric cannot exceed
+    S = selection_matrix([{0}] * 9 + [{1}], 100)
+    est, lo, hi = nogueira_stability_ci(S)
+    assert lo < est < 1.0
+    assert hi == 1.0
+
+
 def test_model_size_counts_by_mode():
     picked = [
         SelectedCluster(cluster=0, kept=(0, 1)),

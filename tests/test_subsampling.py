@@ -28,7 +28,7 @@ def test_pairs_are_disjoint_half_samples():
 def test_even_n_pairs_cover_all_rows():
     plan = draw_complementary_pairs(12, B=5, seed=0)
     for first, second in plan.pairs:
-        assert sorted(first + second) == list(range(12))
+        assert np.array_equal(np.sort(np.concatenate([first, second])), np.arange(12))
 
 
 def test_odd_n_leaves_one_row_out_per_pair():
@@ -43,15 +43,15 @@ def test_same_seed_same_plan_different_seed_differs():
     a = draw_complementary_pairs(30, B=8, seed=5)
     b = draw_complementary_pairs(30, B=8, seed=5)
     c = draw_complementary_pairs(30, B=8, seed=6)
-    assert a.pairs == b.pairs
-    assert a.pairs != c.pairs
+    assert np.array_equal(a.pairs, b.pairs)
+    assert not np.array_equal(a.pairs, c.pairs)
 
 
 def test_pair_index_keys_the_stream():
     """Prefix stability: growing B keeps the existing pairs unchanged."""
     small = draw_complementary_pairs(40, B=3, seed=9)
     big = draw_complementary_pairs(40, B=10, seed=9)
-    assert big.pairs[:3] == small.pairs
+    assert np.array_equal(big.pairs[:3], small.pairs)
 
 
 def test_plan_validation_rejects_malformed_pairs():
@@ -63,6 +63,36 @@ def test_plan_validation_rejects_malformed_pairs():
         SubsamplePlan(n=6, B=1, pairs=(((0, 1, 9), (2, 3, 4)),))  # out of range
 
 
+def test_plan_validation_names_the_pair():
+    good = ((0, 1, 2), (3, 4, 5))
+    with pytest.raises(ValueError, match="pair 1: halves overlap"):
+        SubsamplePlan(n=6, B=2, pairs=(good, ((0, 1, 2), (2, 3, 4))))
+    with pytest.raises(ValueError, match="pair 1: row index out of range"):
+        SubsamplePlan(n=6, B=2, pairs=(good, ((0, 1, 2), (3, 4, 6))))
+    with pytest.raises(ValueError, match="pair 1: row index out of range"):
+        SubsamplePlan(n=6, B=2, pairs=(good, ((-1, 1, 2), (3, 4, 5))))
+    # with even n a pair that misses a row must repeat another
+    with pytest.raises(ValueError, match="pair 2: halves overlap or repeat a row"):
+        SubsamplePlan(n=6, B=3, pairs=(good, good, ((0, 1, 2), (3, 4, 4))))
+    with pytest.raises(ValueError, match="pair 0: halves overlap or repeat a row"):
+        SubsamplePlan(n=8, B=1, pairs=(((0, 0, 2, 3), (4, 5, 6, 7)),))
+    # odd n: the row left out may differ from pair to pair
+    odd = SubsamplePlan(n=7, B=2, pairs=(good, ((6, 1, 2), (3, 4, 5))))
+    assert odd.pairs[1, 0].tolist() == [6, 1, 2]
+    with pytest.raises(ValueError, match="integers"):
+        SubsamplePlan(n=6, B=1, pairs=np.array([good], dtype=float))
+
+
+def test_plan_is_a_read_only_copy():
+    rows = np.array([[[0, 1, 2], [3, 4, 5]]])
+    plan = SubsamplePlan(n=6, B=1, pairs=rows)
+    rows[0, 0, 0] = 5
+    assert plan.pairs[0, 0, 0] == 0
+    assert plan.pairs.shape == (1, 2, 3)
+    with pytest.raises(ValueError):
+        plan.pairs[0, 0, 0] = 1
+
+
 def test_plan_json_round_trip_fields():
     plan = draw_complementary_pairs(8, B=2, seed=4)
     doc = plan.to_json_dict()
@@ -72,13 +102,13 @@ def test_plan_json_round_trip_fields():
         B=doc["B"],
         pairs=tuple((tuple(a), tuple(b)) for a, b in doc["pairs"]),
     )
-    assert rebuilt.pairs == plan.pairs
+    assert np.array_equal(rebuilt.pairs, plan.pairs)
 
 
 def test_draw_half_samples_matches_pair_first_halves():
     halves = draw_half_samples(20, B=6, seed=2)
     plan = draw_complementary_pairs(20, B=6, seed=2)
-    assert halves == [pair[0] for pair in plan.pairs]
+    assert np.array_equal(halves, [pair[0] for pair in plan.pairs])
 
 
 def test_too_small_n_rejected():
@@ -101,10 +131,28 @@ def test_restrict_selects_rows_and_keeps_metadata():
     assert sub.center is True
 
 
+def test_restrict_sorts_unsorted_tuples_and_arrays():
+    rng = np.random.default_rng(1)
+    data = DataSet(X=rng.standard_normal((10, 2)), y=rng.standard_normal(10))
+    for rows in ((9, 0, 4), np.array([9, 0, 4]), range(4, -1, -2)):
+        sub = restrict(data, rows)
+        expect = np.sort(np.asarray(rows))
+        assert np.array_equal(sub.X, data.X[expect])
+        assert np.array_equal(sub.y, data.y[expect])
+    with pytest.raises(ValueError, match="empty"):
+        restrict(data, ())
+    with pytest.raises(ValueError, match="out of range"):
+        restrict(data, np.array([3, 10]))
+    with pytest.raises(ValueError, match="out of range"):
+        restrict(data, (-1, 2))
+
+
 def test_halves_list_each_pair_first_then_complement():
     plan = draw_complementary_pairs(10, B=3, seed=4)
     halves = plan.halves()
     assert [label for label, _ in halves] == [
         (0, "A"), (0, "Ac"), (1, "A"), (1, "Ac"), (2, "A"), (2, "Ac")
     ]
-    assert [rows for _, rows in halves] == [rows for pair in plan.pairs for rows in pair]
+    assert np.array_equal(
+        [rows for _, rows in halves], [rows for pair in plan.pairs for rows in pair]
+    )
