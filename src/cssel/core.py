@@ -131,6 +131,20 @@ def map_halves(data: DataSet, halves, fit, threads: int) -> list:
     return [solve(item) for item in halves]
 
 
+def first_entrants(data: DataSet, k: int) -> list[int]:
+    """select_first_k of the full path, computing only the knots it needs.
+
+    The path is cut after k knots and lengthened only while drops leave
+    fewer than k distinct entrants before the cut.
+    """
+    steps = k
+    while True:
+        path = fit_lasso_path(data, max_steps=steps)
+        if len(path.entry_order()) >= k or len(path.knots) < steps or path.saturated:
+            return select_first_k(path, k)
+        steps *= 2
+
+
 def run_base_selections(
     data: DataSet,
     plan: SubsamplePlan,
@@ -164,7 +178,7 @@ def run_base_selections(
         if base == "fixed-lambda-set":
             return _fixed_lambda_supports(half, lambdas)
         if base == "first-k-path":
-            return select_first_k(fit_lasso_path(half), first_k)
+            return first_entrants(half, first_k)
         b, tag = label
         lam = cross_validate_lambda(
             half, folds=cv_folds, seed=seed, stream=1 + 2 * b + (tag == "Ac")

@@ -167,26 +167,21 @@ class LassoPath:
         return (1 - t) * self.knot_coefs[i] + t * right
 
 
-def _active_factor(L: np.ndarray | None, UA: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of UA^T UA; None if it is not positive definite.
+def _border(L: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, int]:
+    """Lower Cholesky factor of [[M, b], [b^T, c]], given the factor L of M.
 
-    L, when given, factors UA^T UA without UA's last column and is bordered
-    with one triangular solve; with L None the factor is computed afresh.
+    Returns (factor, 0), or (L, 1) when the new pivot c - w.w (w = L^-1 b) is
+    not positive: the new column lies numerically in the span of the others.
     """
-    if L is None:
-        L, info = dpotrf(UA.T @ UA, lower=1)
-        return None if info else L
     k = L.shape[0]
-    u = UA[:, k]
-    w, _ = dtrtrs(L, UA[:, :k].T @ u, lower=1)
-    pivot = u @ u - w @ w
+    w = dtrtrs(L, b, lower=1)[0] if k else b
+    pivot = c - w @ w
     if not pivot > 0.0:
-        return None
+        return L, 1
     grown = np.zeros((k + 1, k + 1), order="F")
     grown[:k, :k] = L
-    grown[k, :k] = w
-    grown[k, k] = np.sqrt(pivot)
-    return grown
+    grown[k, :k], grown[k, k] = w, np.sqrt(pivot)
+    return grown, 0
 
 
 def fit_lasso_path(
@@ -201,8 +196,10 @@ def fit_lasso_path(
     stop_lambda truncates the path once every remaining event lies below it;
     coefficients_at stays exact down to the truncation point.
 
-    The Cholesky factor of the active Gram matrix is carried from knot to
-    knot: an entrant borders it, a drop refactors it (Efron et al. 2004).
+    The Gram column U^T u_j of each entrant is computed once and kept, so a
+    knot costs one (p x k)(k x 2) product; memory is O(p min(n, p)).  The
+    active Gram's Cholesky factor is bordered by an entrant and refactored
+    after a drop (Efron et al. 2004).
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be positive")
@@ -214,11 +211,10 @@ def fit_lasso_path(
     mu1 = float(np.max(np.abs(c0)))
     stop_mu = stop_lambda * n
 
-    zeros = np.zeros(p)
     if mu1 <= stop_mu:
         return LassoPath(
             knots=(), knot_coefs=np.zeros((0, p)), terminal_lambda=stop_lambda,
-            terminal_coefs=zeros, scaling=norms, n=n,
+            terminal_coefs=np.zeros(p), scaling=norms, n=n,
             completed=mu1 == 0.0, saturated=False,
         )
 
@@ -228,121 +224,126 @@ def fit_lasso_path(
     j1 = int(top[0])
 
     knots: list[tuple[float, str, int]] = [(mu1 / n, "enter", j1)]
-    knot_coefs: list[np.ndarray] = [zeros.copy()]
-    active: list[int] = [j1]
-    signs = np.zeros(p)  # sign of each active coefficient, 0 when inactive
-    signs[j1] = np.sign(c0[j1])
-    L = None  # Cholesky factor of U_A^T U_A, rows in `active` order
-    mu_cur = mu1
-    last_event = ("enter", j1)
-    saturated = False
-    completed = False
-    terminal_lambda = mu1 / n
-    terminal_coefs = zeros.copy()
-    # More than n active features would make the Gram factor singular; with
-    # n > p the loop instead ends when no candidate events remain.
-    max_active = n
+    # (active features, their scaled coefficients) at each knot after the
+    # first, then at the path's end when it ran past its last knot
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    inactive = np.arange(p) != j1
+    # The k active features are act[:k], in entry order.  Column i of G is
+    # U^T u_j and row i of cs is [c0_j, sign of beta_j] for j = act[i]; L
+    # factors the active Gram G[act[:k], :k] and is None when a drop left it
+    # to be refactored.
+    act = np.empty(min(n, p), dtype=np.intp)
+    G = np.empty((p, act.size), order="F")
+    cs = np.empty((act.size, 2))
+    act[0], cs[0], k = j1, (c0[j1], np.sign(c0[j1])), 1
+    L, info = np.zeros((0, 0), order="F"), 0
+    mu_cur, last_event, terminal_lambda = mu1, ("enter", j1), None
+    saturated = completed = False
     both_signs = np.array([[1.0], [-1.0]])
 
-    while True:
-        if max_steps is not None and len(knots) >= max_steps:
-            break
-        A = np.array(active)
-        UA = U[:, A]
-        if L is None or L.shape[0] < A.size:
-            L = _active_factor(L, UA)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            if max_steps is not None and len(knots) >= max_steps:
+                break
+            A = act[:k]
             if L is None:
+                L, info = dpotrf(G[A, :k], lower=1)
+            elif L.shape[0] < k:
+                G[:, k - 1] = U.T @ U[:, A[-1]]
+                L, info = _border(L, G[A[:-1], k - 1], G[A[-1], k - 1])
+            if info:
                 saturated = True
                 break
-        vd, _ = dpotrs(L, np.array([c0[A], signs[A]]).T, lower=1)
-        v, d = vd[:, 0], vd[:, 1]
-        # beta_A(mu) = v - mu*d on the scaled basis for mu in (mu_next, mu_cur];
-        # along it the correlations U^T (y - U_A beta_A) are a + mu*g.
-        rq = UA @ vd
-        rq[:, 0] = y - rq[:, 0]
-        a, g = (U.T @ rq).T
-        upper = mu_cur * (1.0 - TIE_REL)
-        # A just-dropped feature touches the boundary exactly at its drop
-        # knot, and a just-entered one has a zero coefficient exactly at its
-        # entry knot, so each has a spurious root at mu_cur; a genuine event
-        # further down the same segment must still be kept.
-        spurious_cut = mu_cur * (1.0 - 1e-9)
+            vd, _ = dpotrs(L, cs[:k], lower=1)
+            v, d = vd[:, 0], vd[:, 1]
+            # beta_A(mu) = v - mu*d on the scaled basis for mu in
+            # (mu_next, mu_cur]; along it the correlations
+            # U^T (y - U_A beta_A) = c0 - G_A v + mu G_A d are a + mu*g.
+            Gvd = G[:, :k] @ vd
+            a, g = c0 - Gvd[:, 0], Gvd[:, 1]
+            upper = mu_cur * (1.0 - TIE_REL)
+            # A just-dropped feature touches the boundary exactly at its drop
+            # knot, and a just-entered one has a zero coefficient exactly at
+            # its entry knot, so each has a spurious root at mu_cur; a genuine
+            # event further down the same segment must still be kept.
+            spurious_cut = mu_cur * (1.0 - 1e-9)
 
-        # Entry roots of a_j + mu*g_j = sgn*mu, sign +1 in row 0: argmax takes
-        # the first maximum, so on equal roots + wins, then the lowest index.
-        # (The active set is below max_active here: reaching it ends the loop.)
-        denom = both_signs - g
-        with np.errstate(divide="ignore", invalid="ignore"):
+            # Entry roots of a_j + mu*g_j = sgn*mu, sign +1 in row 0: argmax
+            # takes the first maximum, so on equal roots + wins, then the
+            # lowest index.  (Fewer than n features are active here.)
+            denom = both_signs - g
             roots = a / denom
-        valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper)
-        valid[:, A] = False
-        if last_event[0] == "drop":
-            j = last_event[1]
-            valid[:, j] &= roots[:, j] < spurious_cut
-        roots[~valid] = -np.inf
-        entry = int(np.argmax(roots))
-        mu_entry = float(roots.flat[entry])
-        if mu_entry > -np.inf:
-            tied = np.abs(roots - mu_entry) <= TIE_REL * mu_entry
-            tied_features = np.flatnonzero(tied.any(axis=0))
-            if tied_features.size > 1:
-                raise PathTie(mu_entry / n, tuple(tied_features))
+            valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper) & inactive
+            if last_event[0] == "drop":
+                valid[:, last_event[1]] &= roots[:, last_event[1]] < spurious_cut
+            roots = np.where(valid, roots, -np.inf)
+            entry = int(roots.argmax())
+            mu_entry = float(roots.flat[entry])
+            # The exact tie test runs only when a second root is near the top.
+            near = np.count_nonzero(roots >= mu_entry * (1.0 - 2 * TIE_REL))
+            if mu_entry > -np.inf and near > 1:
+                tied = np.abs(roots - mu_entry) <= TIE_REL * mu_entry
+                tied_features = np.flatnonzero(tied.any(axis=0))
+                if tied_features.size > 1:
+                    raise PathTie(mu_entry / n, tuple(tied_features))
 
-        # Drop roots of the active coefficients, first maximum in `active` order.
-        roots = np.divide(v, d, out=np.full_like(v, -np.inf), where=d != 0.0)
-        valid = (roots > 0.0) & (roots < upper)
-        if last_event[0] == "enter":
-            valid[-1] &= roots[-1] < spurious_cut
-        roots[~valid] = -np.inf
-        drop = int(np.argmax(roots))
-        mu_drop = float(roots[drop])
+            # Drop roots of the active coefficients, first maximum in entry order.
+            roots = v / d
+            valid = (roots > 0.0) & (roots < upper)
+            if last_event[0] == "enter":
+                valid[-1] &= roots[-1] < spurious_cut
+            roots = np.where(valid, roots, -np.inf)
+            drop = int(roots.argmax())
+            mu_drop = float(roots[drop])
 
-        mu_next = max(mu_entry, mu_drop)
-        if mu_next <= stop_mu:
-            # Either no event is left (mu_next is -inf) and the path runs to
-            # the unpenalized end, or every remaining event lies below the
-            # stop point; the current segment is exact down to there.
-            completed = mu_next == -np.inf
-            terminal_lambda = 0.0 if completed else stop_lambda
-            terminal_coefs = zeros.copy()
-            terminal_coefs[A] = (v - n * terminal_lambda * d) / norms[A]
-            break
+            mu_next = max(mu_entry, mu_drop)
+            if mu_next <= stop_mu:
+                # Either no event is left (mu_next is -inf) and the path runs
+                # to the unpenalized end, or every remaining event lies below
+                # the stop point; the current segment is exact down to there.
+                completed = mu_next == -np.inf
+                terminal_lambda = 0.0 if completed else stop_lambda
+                rows.append((A.copy(), v - n * terminal_lambda * d))
+                break
 
-        # Drops take precedence at numerically equal knots (measure-zero case).
-        if mu_drop >= mu_entry:
-            j_ev, event = active[drop], "drop"
-        else:
-            j_ev, event = entry % p, "enter"
+            beta_A = v - mu_next * d
+            rows.append((A.copy(), beta_A))
+            # Drops take precedence at numerically equal knots (measure-zero
+            # case).
+            if mu_drop >= mu_entry:
+                j_ev, event = int(A[drop]), "drop"
+                beta_A[drop] = 0.0
+                inactive[j_ev] = True
+                k -= 1
+                act[drop:k] = act[drop + 1 : k + 1]
+                G[:, drop:k] = G[:, drop + 1 : k + 1]
+                cs[drop:k] = cs[drop + 1 : k + 1]
+                L = None
+            else:
+                j_ev, event = entry % p, "enter"
+                inactive[j_ev] = False
+                act[k], cs[k] = j_ev, (c0[j_ev], both_signs[entry // p, 0])
+                k += 1
+            last_event = (event, j_ev)
+            knots.append((mu_next / n, event, j_ev))
+            mu_cur = mu_next
+            # More than n active features would make the Gram factor
+            # singular; with n > p the loop instead ends when no candidate
+            # events remain.
+            if event == "enter" and k >= n:
+                saturated = True
+                break
 
-        beta = zeros.copy()
-        beta[A] = (v - mu_next * d) / norms[A]
-        if event == "drop":
-            beta[j_ev] = 0.0
-            active.remove(j_ev)
-            signs[j_ev] = 0.0
-            L = None
-        else:
-            active.append(j_ev)
-            signs[j_ev] = both_signs[entry // p, 0]
-        last_event = (event, j_ev)
-        knots.append((mu_next / n, event, j_ev))
-        knot_coefs.append(beta)
-        mu_cur = mu_next
-        terminal_lambda = mu_next / n
-        terminal_coefs = beta
-        if event == "enter" and len(active) >= max_active:
-            saturated = True
-            break
-
+    coefs = np.zeros((len(rows) + 1, p))
+    if rows:
+        cols = np.concatenate([A for A, _ in rows])
+        at = np.repeat(np.arange(1, len(rows) + 1), [A.size for A, _ in rows])
+        coefs[at, cols] = np.concatenate([b for _, b in rows]) / norms[cols]
     return LassoPath(
-        knots=tuple(knots),
-        knot_coefs=np.array(knot_coefs),
-        terminal_lambda=terminal_lambda,
-        terminal_coefs=terminal_coefs,
-        scaling=norms,
-        n=n,
-        completed=completed,
-        saturated=saturated,
+        knots=tuple(knots), knot_coefs=coefs[: len(knots)],
+        terminal_lambda=knots[-1][0] if terminal_lambda is None else terminal_lambda,
+        terminal_coefs=coefs[-1].copy(), scaling=norms, n=n,
+        completed=completed, saturated=saturated,
     )
 
 
@@ -352,10 +353,9 @@ def select_first_k(path: LassoPath, k: int) -> list[int]:
         raise ValueError("k must be positive")
     order = path.entry_order()
     if len(order) < k:
-        raise InsufficientPath(
-            f"path has {len(order)} distinct entries, {k} requested"
-        )
+        raise InsufficientPath(f"path has {len(order)} distinct entries, {k} requested")
     return order[:k]
+
 
 
 @dataclass(frozen=True)

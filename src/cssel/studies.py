@@ -27,6 +27,7 @@ from .core import (
     cluster_proportions,
     compute_weights,
     feature_proportions,
+    first_entrants,
     run_base_selections,
     select_top_s,
     simultaneous_cluster_proportions,
@@ -360,7 +361,7 @@ def _run_two_proxy_study(
 
     for r in range(reps):
         inst, S = _css_cluster_props(r)
-        first2 = tuple(fit_lasso_path(inst.data).entry_order()[:2])
+        first2 = tuple(first_entrants(inst.data, 2))
         pair_counts[first2] = pair_counts.get(first2, 0) + 1
         props = feature_proportions(S)
         cprops = cluster_proportions(S, partition)

@@ -13,7 +13,7 @@ from cssel.lasso import (
     LassoPath,
     PathTie,
     RankDeficient,
-    _active_factor,
+    _border,
     cross_validate_lambda,
     default_lambda_grid,
     fit_lasso_at,
@@ -24,7 +24,8 @@ from cssel.lasso import (
     select_first_k,
     solutions_on_grid,
 )
-from cssel.simgen import gen_sparse_instance
+from cssel.oracle import vote_splitting_interval
+from cssel.simgen import gen_sparse_instance, gen_two_proxy_instance
 from cssel.subsampling import draw_complementary_pairs, restrict
 
 
@@ -586,15 +587,75 @@ def test_fixed_lambda_supports_ignore_order_and_repeats():
 
 
 def test_bordered_factor_matches_cholesky_and_flags_dependence():
-    """Column-by-column bordering equals a fresh factorization; a column in
-    the span of the earlier ones has no positive pivot."""
+    """Bordering with stored Gram columns, one entrant at a time, equals a
+    fresh factorization; a column in the span of the earlier ones has no
+    positive pivot and leaves the factor as it was."""
     rng = np.random.default_rng(26)
     U = rng.standard_normal((12, 6))
-    L = _active_factor(None, U[:, :1])
-    for k in range(2, 7):
-        L = _active_factor(L, U[:, :k])
-    assert np.max(np.abs(L - np.linalg.cholesky(U.T @ U))) < 1e-12
-    assert np.max(np.abs(L - _active_factor(None, U))) < 1e-12
+    G = U.T @ U
+    L = np.zeros((0, 0), order="F")
+    for k in range(6):
+        L, info = _border(L, G[:k, k], G[k, k])
+        assert info == 0
+    assert np.max(np.abs(L - np.linalg.cholesky(G))) < 1e-12
     e = np.eye(4)[:, [0, 0]]
-    assert _active_factor(_active_factor(None, e[:, :1]), e) is None
-    assert _active_factor(None, e) is None
+    G = e.T @ e
+    L, info = _border(np.zeros((0, 0), order="F"), G[:0, 0], G[0, 0])
+    assert info == 0
+    grown, info = _border(L, G[:1, 1], G[1, 1])
+    assert info == 1 and grown is L
+
+
+def test_first_entrants_lengthen_past_a_drop():
+    """A drop before the k-th entrant: the early-stopped path still names the
+    full path's first k features."""
+    data = random_instance(np.random.default_rng(20), 30, 20, sparsity=6, noise=1.5)
+    full = fit_lasso_path(data)
+    k = [e for _, e, _ in full.knots].index("drop") + 1
+    assert len(fit_lasso_path(data, max_steps=k).entry_order()) < k
+    for kk in range(1, len(full.entry_order()) + 1):
+        assert core.first_entrants(data, kk) == select_first_k(full, kk)
+    with pytest.raises(InsufficientPath):
+        core.first_entrants(data, data.p + 1)
+
+
+def two_proxy_half(pair, tag, center=False):
+    """A 2500-row half of the theorem31 design (n=5000, band midpoint)."""
+    band = vote_splitting_interval(5000, 1.0)
+    inst = gen_two_proxy_instance(5000, 1.0, 0.5 * (band[0] + band[1]), 0, index=0)
+    rows = draw_complementary_pairs(5000, 50, 0).pairs[pair, {"A": 0, "Ac": 1}[tag]]
+    half = restrict(inst.data, rows)
+    return DataSet(X=half.X, y=half.y, center=center)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_tall_two_proxy_half_path_is_exact(center):
+    """n=2500, p=3 with two nearly collinear proxies: every knot passes the
+    KKT check and the path agrees with descent between knots.  Below the
+    last knot the problem is too ill-conditioned for descent to pin the
+    coefficients to 1e-6, so there the interpolation's KKT residual is
+    checked instead."""
+    half = two_proxy_half(0, "A", center)
+    path = fit_lasso_path(half)
+    assert path.completed and len(path.knots) >= 3
+    for (lam, _, _), coef in zip(path.knots, path.knot_coefs):
+        assert kkt_residual(half, coef, lam) <= KKT_TOL
+    lams = [k[0] for k in path.knots]
+    for hi, lo in zip(lams[:-1], lams[1:]):
+        lam = 0.5 * (hi + lo)
+        gap = path.coefficients_at(lam) - fit_lasso_at(half, lam).coefficients
+        assert np.max(np.abs(gap)) < 1e-6
+    lam = 0.5 * lams[-1]
+    assert kkt_residual(half, path.coefficients_at(lam), lam) <= KKT_TOL
+
+
+def test_tall_half_entrant_does_not_drop_at_its_entry_knot():
+    """Regression: on this half the path recorded proxy 1 entering at
+    lambda=1.2208212616e-08 and dropping 1.6e-9 lower in relative terms."""
+    half = two_proxy_half(7, "A")
+    path = fit_lasso_path(half)
+    for a, b in zip(path.knots, path.knots[1:]):
+        assert not (a[1] == "enter" and b[1] == "drop" and a[2] == b[2])
+    assert path.entry_order() == [0, 2, 1]
+    lam = 0.5 * path.knots[-1][0]
+    assert kkt_residual(half, path.coefficients_at(lam), lam) <= KKT_TOL
