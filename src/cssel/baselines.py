@@ -1,5 +1,11 @@
 """Comparator methods: SS and MB stability selection, prototype lasso,
-and the simple-average cluster representative lasso."""
+and the simple-average cluster representative lasso.
+
+The SS and MB proportions read their lasso supports off the same certified
+route as cluster stability selection (lasso.fixed_lambda_supports), and
+the marginal prototypes take their centering and column norms from
+data.center_and_scale.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClusterPartition, map_halves
-from .data import DataSet
-from .lasso import LassoPath, fit_lasso_at, fit_lasso_path
+from .data import DataSet, center_and_scale
+from .lasso import LassoPath, fit_lasso_path, fixed_lambda_supports
 from .subsampling import SubsamplePlan
 
 
@@ -18,14 +24,9 @@ def _per_lambda_proportions(data: DataSet, halves, lambdas, threads: int) -> np.
     lambdas = tuple(float(l) for l in lambdas)
     if not lambdas:
         raise ValueError("need at least one lambda")
-    # S[i, l, j]: whether half i selected feature j at lambdas[l]
+    # S[i, l, j]: whether half i selected feature j at the l-th distinct lambda
     S = map_halves(
-        data,
-        halves,
-        lambda label, half: [
-            fit_lasso_at(half, lam).coefficients != 0 for lam in lambdas
-        ],
-        threads,
+        data, halves, lambda label, half: fixed_lambda_supports(half, lambdas), threads
     )
     return np.mean(S, axis=0).max(axis=0)
 
@@ -73,21 +74,19 @@ class PrototypeMap:
 
 def marginal_prototypes(data: DataSet, partition: ClusterPartition) -> PrototypeMap:
     """Pick each cluster's member with the largest |corr(X_j, y)|."""
-    y = data.y - data.y.mean()
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
+    s = center_and_scale(data.X, data.y, center=True)
+    if not s.y.any():
         raise ValueError("response is constant; marginal correlations undefined")
-    Xc = data.X - data.X.mean(axis=0)
-    col_norms = np.linalg.norm(Xc, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.abs(Xc.T @ y) / (col_norms * y_norm)
+    # |corr(X_j, y)| up to the positive factor 1 / ||y - mean(y)||
+    corr = np.abs(s.U.T @ s.y)
+    dead_cols = set(s.zero_norm.tolist())
 
     prototypes = []
     ties = []
     excluded = []
     for c in partition.clusters:
-        dead = tuple(j for j in c if col_norms[j] == 0.0)
-        live = [j for j in c if col_norms[j] > 0.0]
+        dead = tuple(j for j in c if j in dead_cols)
+        live = [j for j in c if j not in dead_cols]
         if not live:
             raise ValueError(f"cluster {c} has no non-constant member")
         vals = corr[live]

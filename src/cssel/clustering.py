@@ -11,7 +11,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .core import ClusterPartition
-from .data import DataSet
+from .data import DataSet, center_and_scale
 
 
 class ConstantColumn(ValueError):
@@ -24,13 +24,10 @@ class ConstantColumn(ValueError):
 
 def correlation_distance_matrix(data: DataSet) -> np.ndarray:
     """D_jk = 1 - |centered Pearson correlation|, exactly symmetric."""
-    Xc = data.X - data.X.mean(axis=0)
-    norms = np.linalg.norm(Xc, axis=0)
-    dead = np.flatnonzero(norms == 0.0)
-    if dead.size:
-        raise ConstantColumn(dead)
-    Z = Xc / norms
-    corr = Z.T @ Z
+    s = center_and_scale(data.X, data.y, center=True)
+    if s.zero_norm.size:
+        raise ConstantColumn(s.zero_norm)
+    corr = s.U.T @ s.U
     D = 1.0 - np.abs(corr)
     D = np.clip(D, 0.0, 1.0)
     D = 0.5 * (D + D.T)

@@ -16,14 +16,10 @@ import numpy as np
 
 from .data import DataSet
 from .lasso import (
-    KKT_TOL,
-    ConvergenceFailure,
     cross_validate_lambda,
-    fit_lasso_at,
     fit_lasso_path,
-    kkt_residual,
+    fixed_lambda_supports,
     select_first_k,
-    solutions_on_grid,
 )
 from .subsampling import SubsamplePlan, draw_complementary_pairs, restrict
 
@@ -90,23 +86,6 @@ class HalfSampleFailure(RuntimeError):
         self.pair = pair
         self.half = half
         super().__init__(f"solver failure on half sample (pair {pair}, {half}): {cause}")
-
-
-def _fixed_lambda_supports(half: DataSet, lambdas: tuple[float, ...]) -> set[int]:
-    """Union of lasso supports over `lambdas`, each solution KKT-certified.
-
-    The distinct lambdas are solved together by solutions_on_grid (one
-    homotopy path, else coordinate descent); a solution whose KKT residual
-    exceeds KKT_TOL raises ConvergenceFailure, whichever route produced it.
-    """
-    grid = np.unique(lambdas)[::-1]
-    sel: set[int] = set()
-    for lam, coef in zip(grid, solutions_on_grid(half, grid)):
-        resid = kkt_residual(half, coef, lam)
-        if resid > KKT_TOL:
-            raise ConvergenceFailure(resid, None)
-        sel.update(np.flatnonzero(coef).tolist())
-    return sel
 
 
 def map_halves(data: DataSet, halves, fit, threads: int) -> list:
@@ -176,19 +155,18 @@ def run_base_selections(
 
     def fit(label, half):
         if base == "fixed-lambda-set":
-            return _fixed_lambda_supports(half, lambdas)
+            return fixed_lambda_supports(half, lambdas).any(axis=0)
         if base == "first-k-path":
-            return first_entrants(half, first_k)
+            row = np.zeros(half.p, dtype=bool)
+            row[first_entrants(half, first_k)] = True
+            return row
         b, tag = label
         lam = cross_validate_lambda(
             half, folds=cv_folds, seed=seed, stream=1 + 2 * b + (tag == "Ac")
         )
-        return fit_lasso_at(half, lam).support
+        return fixed_lambda_supports(half, (lam,))[0]
 
-    S = np.zeros((2 * plan.B, data.p), dtype=bool)
-    for row, sel in zip(S, map_halves(data, plan.halves(), fit, threads)):
-        row[list(sel)] = True
-    return S
+    return np.array(map_halves(data, plan.halves(), fit, threads))
 
 
 def _cluster_hits(S: np.ndarray, partition: ClusterPartition) -> np.ndarray:
@@ -425,25 +403,6 @@ def threshold_select(result: CssResult, tau: float) -> list[SelectedCluster]:
     for k in range(result.partition.K):
         if result.cluster_props[k] >= tau:
             out.append(SelectedCluster(cluster=k, kept=result.kept_features(k)))
-    return out
-
-
-def candidate_sets(
-    cluster_props: np.ndarray, partition: ClusterPartition
-) -> list[tuple[int, ...]]:
-    """Nested candidate feature sets, one per distinct proportion level.
-
-    The i-th set unions all clusters whose proportion reaches the i-th
-    largest distinct level, so later sets contain earlier ones.
-    """
-    levels = sorted(set(float(v) for v in cluster_props), reverse=True)
-    out = []
-    for level in levels:
-        feats: list[int] = []
-        for k, c in enumerate(partition.clusters):
-            if cluster_props[k] >= level:
-                feats.extend(c)
-        out.append(tuple(sorted(feats)))
     return out
 
 

@@ -1,8 +1,10 @@
-"""The (X, y) container shared by every solver and estimator."""
+"""The (X, y) container shared by every solver and estimator, and the one
+routine that centers and column-scales it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,3 +60,34 @@ class DataSet:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+
+class Scaling(NamedTuple):
+    """The centered, column-scaled view of a design; see center_and_scale."""
+
+    U: np.ndarray
+    y: np.ndarray
+    x_mean: np.ndarray
+    y_mean: float
+    norms: np.ndarray
+    zero_norm: np.ndarray
+
+
+def center_and_scale(X: np.ndarray, y: np.ndarray, center: bool) -> Scaling:
+    """Centering offsets and L2 column norms, computed in one place.
+
+    With center, x_mean and y_mean are the column means and the mean of y,
+    and both are subtracted; without, they are zero and X and y are used as
+    given.  norms are the L2 norms of the (centered) columns and U the
+    columns divided by them.  zero_norm lists the columns of norm zero, which
+    U leaves at zero; what such a column means is the caller's decision.
+    """
+    if center:
+        x_mean, y_mean = X.mean(axis=0), float(y.mean())
+        X, y = X - x_mean, y - y_mean
+    else:
+        x_mean, y_mean = np.zeros(X.shape[1]), 0.0
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    zero = norms == 0.0
+    U = X / np.where(zero, 1.0, norms)
+    return Scaling(U, y, x_mean, y_mean, norms, np.flatnonzero(zero))

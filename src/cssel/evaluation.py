@@ -1,9 +1,8 @@
 """Prediction and stability scoring for selection methods.
 
 OLS refit on selected columns (raw features or weighted cluster
-representatives), squared error against the latent mean, model-size
-accounting, and the Nogueira stability metric with its normal-approximation
-confidence interval.
+representatives), squared error against the latent mean, and the Nogueira
+stability metric with its normal-approximation confidence interval.
 """
 
 from __future__ import annotations
@@ -133,27 +132,6 @@ def nogueira_stability_ci(
     z = float(ndtri(0.5 + level / 2.0))
     half = z * np.sqrt(var)
     return phi_hat, phi_hat - half, min(phi_hat + half, 1.0)
-
-
-def model_size(selected, mode: str = "fitted-coefficients") -> int:
-    """Size of a selected model.
-
-    fitted-coefficients counts one per selected cluster (each contributes a
-    single representative column); original-features counts every kept
-    member.
-    """
-    kept_sets = []
-    for item in selected:
-        kept = item.kept if hasattr(item, "kept") else tuple(item)
-        kept_sets.append(tuple(int(j) for j in kept))
-    if mode == "fitted-coefficients":
-        return len(kept_sets)
-    if mode == "original-features":
-        return sum(len(kept) for kept in kept_sets)
-    raise ValueError(
-        "mode must be 'fitted-coefficients' or 'original-features', "
-        f"got {mode!r}"
-    )
 
 
 METHOD_SIZE_HEADER = (

@@ -13,7 +13,9 @@ y are mean-centered first and coefficients apply to centered columns.
 Two independent routes solve the same problem: a homotopy that tracks the
 exact piecewise-linear solution path in lambda (knot by knot), and cyclic
 coordinate descent at a fixed lambda.  They are kept separate so each can
-certify the other.
+certify the other.  The package reads every support at a given lambda off
+fixed_lambda_supports; fit_lasso_at, descent from zero, is the independent
+check on it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .data import DataSet
+from .data import DataSet, center_and_scale
 
 KKT_TOL = 1e-8
 CD_TOL = 1e-10
@@ -74,15 +76,10 @@ class RankDeficient(Exception):
 
 def _scaled_view(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (U, y, norms) with U the norm-scaled (optionally centered) X."""
-    X, y = data.X, data.y
-    if data.center:
-        X = X - X.mean(axis=0)
-        y = y - y.mean()
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise ValueError(f"columns {bad.tolist()} have zero norm; cannot scale")
-    return X / norms, y, norms
+    s = center_and_scale(data.X, data.y, data.center)
+    if s.zero_norm.size:
+        raise ValueError(f"columns {s.zero_norm.tolist()} have zero norm; cannot scale")
+    return s.U, s.y, s.norms
 
 
 def lambda_max(data: DataSet) -> float:
@@ -463,8 +460,8 @@ def solutions_on_grid(data: DataSet, grid: np.ndarray) -> np.ndarray:
     Row i solves grid[i].  The rows are read off one homotopy path truncated
     at the grid's bottom; a knot tie, or a path that saturates above the
     bottom, falls back to coordinate descent warm-started down the grid, with
-    least squares at lambda 0.  Nothing here certifies the answers: callers
-    that need a certificate check kkt_residual.
+    least squares at lambda 0.  Nothing here certifies the answers:
+    fixed_lambda_supports checks kkt_residual.
     """
     grid = np.asarray(grid, dtype=float)
     try:
@@ -486,6 +483,23 @@ def solutions_on_grid(data: DataSet, grid: np.ndarray) -> np.ndarray:
             beta, _ = _cd_solve(G, c, data.n * lam, beta, CD_TOL, 10000)
         out[i] = beta / norms
     return out
+
+
+def fixed_lambda_supports(data: DataSet, lambdas) -> np.ndarray:
+    """Boolean lasso supports, one row per distinct lambda, largest first.
+
+    The one route for a support at a given lambda: the distinct lambdas are
+    solved together by solutions_on_grid (one homotopy path, else coordinate
+    descent), and a solution whose KKT residual exceeds KKT_TOL raises
+    ConvergenceFailure, whichever route produced it.
+    """
+    grid = np.unique(lambdas)[::-1]
+    coefs = solutions_on_grid(data, grid)
+    for lam, coef in zip(grid, coefs):
+        resid = kkt_residual(data, coef, lam)
+        if resid > KKT_TOL:
+            raise ConvergenceFailure(resid, None)
+    return coefs != 0.0
 
 
 def cross_validate_lambda(
@@ -524,41 +538,15 @@ def cross_validate_lambda(
     for chunk in chunks:
         val = np.sort(chunk)
         train = np.sort(np.setdiff1d(perm, chunk, assume_unique=True))
-        Xt, yt = data.X[train], data.y[train]
+        fold = DataSet(X=data.X[train], y=data.y[train], center=data.center)
+        # (x_mean, y_mean) only: keeping the fold's scaled copy alive
+        # through the solve below raises the peak memory of `css run`
+        x_off, y_off = center_and_scale(fold.X, fold.y, fold.center)[2:4]
         Xv, yv = data.X[val], data.y[val]
-        if data.center:
-            x_off, y_off = Xt.mean(axis=0), yt.mean()
-        else:
-            x_off, y_off = np.zeros(data.p), 0.0
-        fold = DataSet(X=Xt, y=yt, center=data.center)
         for i, coef in enumerate(solutions_on_grid(fold, grid)):
             pred = (Xv - x_off) @ coef + y_off
             sq_err[i] += float(np.sum((yv - pred) ** 2))
     return float(grid[int(np.argmin(sq_err))])
-
-
-def ols_fit(
-    data: DataSet, support: list[int] | tuple[int, ...]
-) -> tuple[np.ndarray, float]:
-    """Least squares of y on the listed columns plus an intercept.
-
-    Returns (coefficients in support order, intercept).  Linearly dependent
-    columns raise RankDeficient naming them.
-    """
-    support = [int(j) for j in support]
-    for j in support:
-        if not 0 <= j < data.p:
-            raise ValueError(f"column {j} out of range for p={data.p}")
-    if len(support) >= data.n:
-        raise ValueError(
-            f"{len(support)} columns with only {data.n} rows; need #columns < n"
-        )
-    cols = data.X[:, support] if support else np.zeros((data.n, 0))
-    design = np.column_stack([np.ones(data.n), cols])
-    coef, offending = _ols_solve(design, data.y)
-    if offending is not None:
-        raise RankDeficient(tuple(support[k - 1] for k in offending if k > 0))
-    return coef[1:], float(coef[0])
 
 
 def _ols_solve(

@@ -7,7 +7,6 @@ from cssel.core import (
     ClusterPartition,
     CssResult,
     HalfSampleFailure,
-    candidate_sets,
     cluster_proportions,
     cluster_representative,
     compute_weights,
@@ -208,15 +207,6 @@ def test_cluster_representative_averages_raw_columns():
 # ranking helpers
 
 
-def test_candidate_sets_are_nested_and_level_indexed():
-    part = ClusterPartition(clusters=((0, 1), (2,), (3, 4)))
-    cp = np.array([0.9, 0.4, 0.9])
-    sets = candidate_sets(cp, part)
-    assert sets == [(0, 1, 3, 4), (0, 1, 2, 3, 4)]
-    for small, large in zip(sets, sets[1:]):
-        assert set(small) <= set(large)
-
-
 def test_select_top_s_returns_none_on_boundary_tie():
     props = np.array([0.9, 0.5, 0.5, 0.1])
     assert select_top_s(props, 1) == (0,)
@@ -292,6 +282,10 @@ def test_cv_base_is_deterministic():
     b = run_base_selections(data, plan, base="cv-lambda-per-half", seed=9)
     assert np.array_equal(a, b)
     assert a.any(axis=1).all()  # strong signal survives CV
+    for i, row in enumerate(a):
+        half = restrict(data, plan.pairs[i // 2][i % 2])
+        lam = cross_validate_lambda(half, folds=10, seed=9, stream=1 + i)
+        assert set(np.flatnonzero(row).tolist()) == fit_lasso_at(half, lam).support
 
 
 def test_half_sample_failure_names_the_half():

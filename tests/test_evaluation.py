@@ -1,16 +1,14 @@
-"""Refit scoring, model-size accounting, and the stability metric."""
+"""Refit scoring and the stability metric."""
 
 import csv
 
 import numpy as np
 import pytest
 
-from cssel.core import SelectedCluster
 from cssel.data import DataSet
 from cssel.evaluation import (
     METHOD_SIZE_HEADER,
     build_design,
-    model_size,
     nogueira_stability,
     nogueira_stability_ci,
     refit_and_mse,
@@ -151,19 +149,6 @@ def test_stability_ci_upper_end_is_cut_at_one():
     est, lo, hi = nogueira_stability_ci(S)
     assert lo < est < 1.0
     assert hi == 1.0
-
-
-def test_model_size_counts_by_mode():
-    picked = [
-        SelectedCluster(cluster=0, kept=(0, 1)),
-        SelectedCluster(cluster=2, kept=(4,)),
-    ]
-    assert model_size(picked) == 2
-    assert model_size(picked, mode="original-features") == 3
-    assert model_size([(0, 1), (2,)], mode="original-features") == 3
-    assert model_size([], mode="fitted-coefficients") == 0
-    with pytest.raises(ValueError):
-        model_size(picked, mode="columns")
 
 
 def test_method_size_csv_leaves_none_empty(tmp_path):

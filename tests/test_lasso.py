@@ -1,10 +1,14 @@
 """Solver tests: homotopy path vs coordinate descent, KKT certification,
-closed-form first knot, OLS and CV contracts."""
+closed-form first knot and CV contracts."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
-from cssel import core
+import cssel
+from cssel import core, lasso
 from cssel.data import DataSet
 from cssel.lasso import (
     KKT_TOL,
@@ -12,15 +16,14 @@ from cssel.lasso import (
     InsufficientPath,
     LassoPath,
     PathTie,
-    RankDeficient,
     _border,
     cross_validate_lambda,
     default_lambda_grid,
     fit_lasso_at,
     fit_lasso_path,
+    fixed_lambda_supports,
     kkt_residual,
     lambda_max,
-    ols_fit,
     select_first_k,
     solutions_on_grid,
 )
@@ -318,45 +321,17 @@ def test_cv_constant_response_fold_is_fine():
     assert lam in (0.5, 0.1)
 
 
-def test_ols_empty_support_predicts_mean():
-    rng = np.random.default_rng(15)
-    data = random_instance(rng, 20, 4)
-    coef, intercept = ols_fit(data, [])
-    assert coef.size == 0
-    assert intercept == pytest.approx(data.y.mean(), rel=1e-12)
-
-
-def test_ols_exact_linear_column():
-    rng = np.random.default_rng(16)
-    X = rng.standard_normal((25, 3))
-    y = 4.0 * X[:, 1]
-    coef, intercept = ols_fit(DataSet(X=X, y=y), [1])
-    assert coef[0] == pytest.approx(4.0, abs=1e-10)
-    assert intercept == pytest.approx(0.0, abs=1e-10)
-
-
-def test_ols_matches_normal_equations():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        data = random_instance(rng, 30, 6)
-        sup = [0, 2, 5]
-        coef, intercept = ols_fit(data, sup)
-        D = np.column_stack([np.ones(30), data.X[:, sup]])
-        theta = np.linalg.solve(D.T @ D, D.T @ data.y)
-        assert intercept == pytest.approx(theta[0], abs=1e-8)
-        assert np.max(np.abs(coef - theta[1:])) < 1e-8
-        resid = data.y - D @ theta
-        assert np.max(np.abs(D.T @ resid)) < 1e-8 * max(1.0, np.abs(data.y).max())
-
-
-def test_ols_rank_deficient_names_columns():
-    rng = np.random.default_rng(18)
-    X = rng.standard_normal((20, 3))
-    X[:, 2] = X[:, 0] - X[:, 1]
-    with pytest.raises(RankDeficient) as exc:
-        ols_fit(DataSet(X=X, y=rng.standard_normal(20)), [0, 1, 2])
-    assert set(exc.value.columns) <= {0, 1, 2}
-    assert exc.value.columns
+def test_centered_cv_ignores_constant_shifts():
+    """center=True: shifting y and every column leaves the CV choice alone."""
+    rng = np.random.default_rng(30)
+    data = random_instance(rng, 60, 8, sparsity=3)
+    centered = DataSet(X=data.X, y=data.y, center=True)
+    shifted = DataSet(X=data.X + 3.0, y=data.y - 7.0, center=True)
+    for seed in range(3):
+        lam = cross_validate_lambda(centered, folds=5, seed=seed)
+        assert cross_validate_lambda(shifted, folds=5, seed=seed) == pytest.approx(
+            lam, rel=1e-12
+        )
 
 
 def test_centered_solver_routes_agree():
@@ -543,9 +518,9 @@ def test_wide_half_sample_saturates_and_falls_back_to_descent():
     assert path.saturated and not path.completed
     assert np.count_nonzero(path.terminal_coefs) == half.n - 1
     lambdas = (2 * path.terminal_lambda, 0.9 * path.terminal_lambda)
-    fits = [fit_lasso_at(half, lam) for lam in lambdas]
-    support = core._fixed_lambda_supports(half, lambdas)
-    assert support == set().union(*(fit.support for fit in fits))
+    rows = fixed_lambda_supports(half, lambdas)  # lambdas are decreasing
+    for row, lam in zip(rows, lambdas):
+        assert set(np.flatnonzero(row).tolist()) == fit_lasso_at(half, lam).support
     for lam, coef in zip(lambdas, solutions_on_grid(half, lambdas)):
         assert kkt_residual(half, coef, lam) <= KKT_TOL
 
@@ -581,9 +556,11 @@ def test_fixed_lambda_supports_ignore_order_and_repeats():
     lam1 = lambda_max(data)
     ordered = (0.5 * lam1, 0.1 * lam1, 0.02 * lam1)
     shuffled = (ordered[1], ordered[2], ordered[0], ordered[1])
-    support = core._fixed_lambda_supports(data, ordered)
-    assert core._fixed_lambda_supports(data, shuffled) == support
-    assert support == set().union(*(fit_lasso_at(data, l).support for l in ordered))
+    rows = fixed_lambda_supports(data, ordered)
+    assert rows.shape == (len(ordered), data.p) and rows.dtype == bool
+    np.testing.assert_array_equal(fixed_lambda_supports(data, shuffled), rows)
+    for row, lam in zip(rows, ordered):  # one row per distinct lambda, largest first
+        assert set(np.flatnonzero(row).tolist()) == fit_lasso_at(data, lam).support
 
 
 def test_bordered_factor_matches_cholesky_and_flags_dependence():
@@ -659,3 +636,16 @@ def test_tall_half_entrant_does_not_drop_at_its_entry_knot():
     assert path.entry_order() == [0, 2, 1]
     lam = 0.5 * path.knots[-1][0]
     assert kkt_residual(half, path.coefficients_at(lam), lam) <= KKT_TOL
+
+
+def test_only_lasso_binds_coordinate_descent():
+    """Every fixed-lambda support outside cssel.lasso goes through
+    fixed_lambda_supports; coordinate descent stays the independent check."""
+    descent = {"fit_lasso_at": lasso.fit_lasso_at, "_cd_solve": lasso._cd_solve}
+    for info in pkgutil.iter_modules(cssel.__path__):
+        module = importlib.import_module(f"cssel.{info.name}")
+        if module is lasso:
+            continue
+        for name, fn in descent.items():
+            assert name not in vars(module), f"{module.__name__} binds {name}"
+            assert all(value is not fn for value in vars(module).values())
