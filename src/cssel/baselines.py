@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ClusterPartition, map_halves
 from .data import DataSet, center_and_scale
-from .lasso import LassoPath, fit_lasso_path, fixed_lambda_supports
+from .lasso import TIE_REL, LassoPath, fit_lasso_path, fixed_lambda_supports
 from .subsampling import SubsamplePlan
 
 
@@ -73,7 +73,8 @@ class PrototypeMap:
 
 
 def marginal_prototypes(data: DataSet, partition: ClusterPartition) -> PrototypeMap:
-    """Pick each cluster's member with the largest |corr(X_j, y)|."""
+    """Pick each cluster's member with the largest |corr(X_j, y)|; members
+    within a relative TIE_REL of it tie, and the lowest index wins."""
     s = center_and_scale(data.X, data.y, center=True)
     if not s.y.any():
         raise ValueError("response is constant; marginal correlations undefined")
@@ -90,9 +91,8 @@ def marginal_prototypes(data: DataSet, partition: ClusterPartition) -> Prototype
         if not live:
             raise ValueError(f"cluster {c} has no non-constant member")
         vals = corr[live]
-        best = vals.max()
-        winners = [j for j, v in zip(live, vals) if v == best]
-        prototypes.append(min(winners))
+        winners = np.asarray(live)[vals >= vals.max() * (1.0 - TIE_REL)]
+        prototypes.append(int(winners.min()))
         ties.append(len(winners) > 1)
         excluded.append(dead)
     return PrototypeMap(

@@ -119,7 +119,7 @@ def first_entrants(data: DataSet, k: int) -> list[int]:
     steps = k
     while True:
         path = fit_lasso_path(data, max_steps=steps)
-        if len(path.entry_order()) >= k or len(path.knots) < steps or path.saturated:
+        if len(path.entry_order()) >= k or len(path.knots) < steps:
             return select_first_k(path, k)
         steps *= 2
 

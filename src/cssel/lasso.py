@@ -63,7 +63,7 @@ class ConvergenceFailure(Exception):
 
 
 class InsufficientPath(Exception):
-    """The path saturated before the requested number of entries."""
+    """The path ended before the requested number of entries."""
 
 
 class RankDeficient(Exception):
@@ -110,19 +110,20 @@ class LassoPath:
     knots: (lambda, event, feature) with event "enter" or "drop", lambdas
     strictly decreasing.  knot_coefs holds the coefficient vector (original
     basis) at each knot.  The final linear segment runs from the last knot
-    down to terminal_lambda with terminal_coefs there; terminal_lambda is 0
-    when the path ran to the unpenalized end, else the path stopped early
-    (saturation or max_steps) and queries below the last knot are invalid.
+    down to terminal_lambda with terminal_coefs there: 0 for a full path,
+    stop_lambda for a truncated one, else the last knot's lambda (a max_steps
+    cut or a singular border).  Queries below terminal_lambda are invalid.
     """
 
     knots: tuple[tuple[float, str, int], ...]
     knot_coefs: np.ndarray
     terminal_lambda: float
     terminal_coefs: np.ndarray
-    scaling: np.ndarray
-    n: int
-    completed: bool
-    saturated: bool
+
+    @property
+    def completed(self) -> bool:
+        """The path reaches the unpenalized end, lambda 0."""
+        return self.terminal_lambda == 0.0
 
     @property
     def lambda_1(self) -> float:
@@ -193,6 +194,10 @@ def fit_lasso_path(
     stop_lambda truncates the path once every remaining event lies below it;
     coefficients_at stays exact down to the truncation point.
 
+    At most rank(U) features are active, n or n - 1 when centered; then the
+    next event is a drop, so p > n paths also reach lambda 0.  A singular
+    border ends the path early at its last knot, as a max_steps cut does.
+
     The Gram column U^T u_j of each entrant is computed once and kept, so a
     knot costs one (p x k)(k x 2) product; memory is O(p min(n, p)).  The
     active Gram's Cholesky factor is bordered by an entrant and refactored
@@ -210,9 +215,9 @@ def fit_lasso_path(
 
     if mu1 <= stop_mu:
         return LassoPath(
-            knots=(), knot_coefs=np.zeros((0, p)), terminal_lambda=stop_lambda,
-            terminal_coefs=np.zeros(p), scaling=norms, n=n,
-            completed=mu1 == 0.0, saturated=False,
+            knots=(), knot_coefs=np.zeros((0, p)),
+            terminal_lambda=0.0 if mu1 == 0.0 else stop_lambda,
+            terminal_coefs=np.zeros(p),
         )
 
     top = np.flatnonzero(np.abs(c0) >= mu1 * (1.0 - TIE_REL))
@@ -225,6 +230,7 @@ def fit_lasso_path(
     # first, then at the path's end when it ran past its last knot
     rows: list[tuple[np.ndarray, np.ndarray]] = []
     inactive = np.arange(p) != j1
+    max_active = n - int(data.center)
     # The k active features are act[:k], in entry order.  Column i of G is
     # U^T u_j and row i of cs is [c0_j, sign of beta_j] for j = act[i]; L
     # factors the active Gram G[act[:k], :k] and is None when a drop left it
@@ -235,7 +241,6 @@ def fit_lasso_path(
     act[0], cs[0], k = j1, (c0[j1], np.sign(c0[j1])), 1
     L, info = np.zeros((0, 0), order="F"), 0
     mu_cur, last_event, terminal_lambda = mu1, ("enter", j1), None
-    saturated = completed = False
     both_signs = np.array([[1.0], [-1.0]])
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,7 +254,6 @@ def fit_lasso_path(
                 G[:, k - 1] = U.T @ U[:, A[-1]]
                 L, info = _border(L, G[A[:-1], k - 1], G[A[-1], k - 1])
             if info:
-                saturated = True
                 break
             vd, _ = dpotrs(L, cs[:k], lower=1)
             v, d = vd[:, 0], vd[:, 1]
@@ -267,10 +271,12 @@ def fit_lasso_path(
 
             # Entry roots of a_j + mu*g_j = sgn*mu, sign +1 in row 0: argmax
             # takes the first maximum, so on equal roots + wins, then the
-            # lowest index.  (Fewer than n features are active here.)
+            # lowest index.  With max_active features active, a is zero up to
+            # rounding and no feature is a candidate.
             denom = both_signs - g
             roots = a / denom
             valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper) & inactive
+            valid &= k < max_active
             if last_event[0] == "drop":
                 valid[:, last_event[1]] &= roots[:, last_event[1]] < spurious_cut
             roots = np.where(valid, roots, -np.inf)
@@ -298,8 +304,7 @@ def fit_lasso_path(
                 # Either no event is left (mu_next is -inf) and the path runs
                 # to the unpenalized end, or every remaining event lies below
                 # the stop point; the current segment is exact down to there.
-                completed = mu_next == -np.inf
-                terminal_lambda = 0.0 if completed else stop_lambda
+                terminal_lambda = 0.0 if mu_next == -np.inf else stop_lambda
                 rows.append((A.copy(), v - n * terminal_lambda * d))
                 break
 
@@ -324,12 +329,6 @@ def fit_lasso_path(
             last_event = (event, j_ev)
             knots.append((mu_next / n, event, j_ev))
             mu_cur = mu_next
-            # More than n active features would make the Gram factor
-            # singular; with n > p the loop instead ends when no candidate
-            # events remain.
-            if event == "enter" and k >= n:
-                saturated = True
-                break
 
     coefs = np.zeros((len(rows) + 1, p))
     if rows:
@@ -339,8 +338,7 @@ def fit_lasso_path(
     return LassoPath(
         knots=tuple(knots), knot_coefs=coefs[: len(knots)],
         terminal_lambda=knots[-1][0] if terminal_lambda is None else terminal_lambda,
-        terminal_coefs=coefs[-1].copy(), scaling=norms, n=n,
-        completed=completed, saturated=saturated,
+        terminal_coefs=coefs[-1].copy(),
     )
 
 
@@ -458,17 +456,17 @@ def solutions_on_grid(data: DataSet, grid: np.ndarray) -> np.ndarray:
     """Coefficients (original basis) at each lambda of a decreasing grid.
 
     Row i solves grid[i].  The rows are read off one homotopy path truncated
-    at the grid's bottom; a knot tie, or a path that saturates above the
-    bottom, falls back to coordinate descent warm-started down the grid, with
-    least squares at lambda 0.  Nothing here certifies the answers:
-    fixed_lambda_supports checks kkt_residual.
+    at the grid's bottom.  A knot tie, or a path that ended above the bottom
+    at a singular border, falls back to coordinate descent warm-started down
+    the grid, with least squares at lambda 0.  Nothing here certifies the
+    answers: fixed_lambda_supports checks kkt_residual.
     """
     grid = np.asarray(grid, dtype=float)
     try:
         path = fit_lasso_path(data, stop_lambda=float(grid[-1]))
     except PathTie:
         path = None
-    if path is not None and (path.completed or path.terminal_lambda <= grid[-1]):
+    if path is not None and path.terminal_lambda <= grid[-1]:
         return np.array([path.coefficients_at(lam) for lam in grid])
 
     U, y, norms = _scaled_view(data)

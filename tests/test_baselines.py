@@ -128,6 +128,15 @@ def test_marginal_prototypes_flag_ties_and_exclude_constants():
     assert proto.prototypes[0] == 0  # lowest index wins the tie
     assert proto.tie_flags == (True, False)
     assert proto.excluded == ((2,), ())
+    # 3 x0 + 1 ties with x0 up to rounding, so it is flagged in every design
+    rng = np.random.default_rng(5)
+    part = ClusterPartition(clusters=((0, 1, 2), tuple(range(3, 12))))
+    for n in range(30, 70):
+        X = rng.standard_normal((n, 12))
+        X[:, 2] = 3 * X[:, 0] + 1
+        proto = marginal_prototypes(DataSet(X=X, y=X[:, 0] + rng.standard_normal(n)), part)
+        assert proto.prototypes[0] == 0
+        assert proto.tie_flags == (True, False)
 
 
 def test_marginal_prototypes_reject_degenerate_inputs():

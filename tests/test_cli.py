@@ -6,13 +6,17 @@ import json
 import numpy as np
 import pytest
 
+from cssel import core
 from cssel.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, build_parser, main
+from cssel.dataio import load_dataset
+from cssel.lasso import lambda_max
 from cssel.oracle import (
     ideal_risk,
     min_weighted_risk,
     proxy_noise_variance,
     vote_splitting_interval,
 )
+from cssel.simgen import gen_sparse_instance
 
 
 def write_xy(tmp_path, seed=0, n=40, p=4, header=True):
@@ -166,6 +170,32 @@ def test_exit_code_3_on_solver_failure(tmp_path, capsys):
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err
     assert "solver failure" in err and "pair 0" in err
+
+
+def test_run_on_wide_data_exits_ok(tmp_path, monkeypatch):
+    """60x100 (p > n): a fixed lambda below the point where the half-sample
+    paths reach 30 active features used to exit 3, and the CV default ran
+    for minutes.  Both finish, and no half selects more than its 30 rows."""
+    data = gen_sparse_instance(0, 0).data
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, data.X[:60], delimiter=",")
+    np.savetxt(yp, data.y[:60], delimiter=",")
+    lam = 1e-3 * lambda_max(load_dataset(xp, yp))
+    selections = []
+    run_base = core.run_base_selections
+
+    def recorded(*args, **kwargs):
+        selections.append(run_base(*args, **kwargs))
+        return selections[-1]
+
+    monkeypatch.setattr(core, "run_base_selections", recorded)
+    for extra in (("--lambda", lam), ()):
+        assert run_cli(
+            "run", "--x", xp, "--y", yp, "--out", tmp_path / "o",
+            "--B", "5", "--seed", "0", "--tau", "0.6", *extra,
+        ) == EXIT_OK
+    assert len(selections) == 2
+    assert all(S.sum(axis=1).max() <= 30 for S in selections)
 
 
 def test_css_seed_env_var_sets_the_default(tmp_path, monkeypatch):

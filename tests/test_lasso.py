@@ -193,10 +193,6 @@ def test_select_first_k_prefix_and_reentry():
         knot_coefs=np.zeros((3, 3)),
         terminal_lambda=0.5,
         terminal_coefs=np.zeros(3),
-        scaling=np.ones(3),
-        n=4,
-        completed=False,
-        saturated=False,
     )
     assert select_first_k(made, 2) == [2, 0]
     reentry = LassoPath(
@@ -209,10 +205,6 @@ def test_select_first_k_prefix_and_reentry():
         knot_coefs=np.zeros((4, 3)),
         terminal_lambda=0.6,
         terminal_coefs=np.zeros(3),
-        scaling=np.ones(3),
-        n=4,
-        completed=False,
-        saturated=False,
     )
     assert select_first_k(reentry, 2) == [2, 0]
     with pytest.raises(InsufficientPath):
@@ -511,18 +503,59 @@ def test_path_with_drops_and_reentries_matches_descent():
         assert np.max(np.abs(path.coefficients_at(lam) - fit.coefficients)) < 1e-6
 
 
-def test_wide_half_sample_saturates_and_falls_back_to_descent():
-    """p > n: the path stops with n active features, below it CD takes over."""
+def count_descent_calls(monkeypatch) -> list:
+    """Patch lasso._cd_solve to record each call; returns the record."""
+    calls = []
+    solve = lasso._cd_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lasso, "_cd_solve", counted)
+    return calls
+
+
+def test_wide_half_sample_path_runs_past_n_active(monkeypatch):
+    """p > n: with n features active the next event is a drop, and the path
+    runs on to lambda 0 with n nonzeros; no coordinate descent is needed
+    above or below the first knot with n active."""
     half = restrict(gen_sparse_instance(0, 0).data, range(10))
     path = fit_lasso_path(half)
-    assert path.saturated and not path.completed
-    assert np.count_nonzero(path.terminal_coefs) == half.n - 1
-    lambdas = (2 * path.terminal_lambda, 0.9 * path.terminal_lambda)
+    assert path.completed
+    assert np.count_nonzero(path.terminal_coefs) == half.n
+    active = np.cumsum([1 if e == "enter" else -1 for _, e, _ in path.knots])
+    lam_n = path.knots[int(np.argmax(active == half.n))][0]
+    lambdas = (2 * lam_n, 0.9 * lam_n)
+    supports = [fit_lasso_at(half, lam).support for lam in lambdas]
+    calls = count_descent_calls(monkeypatch)
     rows = fixed_lambda_supports(half, lambdas)  # lambdas are decreasing
-    for row, lam in zip(rows, lambdas):
-        assert set(np.flatnonzero(row).tolist()) == fit_lasso_at(half, lam).support
-    for lam, coef in zip(lambdas, solutions_on_grid(half, lambdas)):
-        assert kkt_residual(half, coef, lam) <= KKT_TOL
+    for row, support in zip(rows, supports):
+        assert set(np.flatnonzero(row).tolist()) == support
+    assert calls == []
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_wide_cv_reads_every_fold_off_the_path(monkeypatch, center):
+    """Regression: 90x120 training folds whose paths stopped at n active
+    features were solved by descent down the whole grid, 77 s for one fold.
+    Every fold now runs its path to the grid's bottom, KKT-exact."""
+    base = gen_sparse_instance(7, 0).data
+    noise = np.random.default_rng(0).standard_normal((100, 20))
+    data = DataSet(X=np.column_stack([base.X[:100], noise]), y=base.y[:100], center=center)
+    worst = []
+    on_grid = lasso.solutions_on_grid
+
+    def checked(fold, grid):
+        coefs = on_grid(fold, grid)
+        worst.append(max(kkt_residual(fold, c, lam) for lam, c in zip(grid, coefs)))
+        return coefs
+
+    monkeypatch.setattr(lasso, "solutions_on_grid", checked)
+    calls = count_descent_calls(monkeypatch)
+    assert cross_validate_lambda(data) > 0.0
+    assert len(worst) == 10 and max(worst) <= KKT_TOL
+    assert calls == []
 
 
 def test_solutions_on_grid_reads_the_path_on_tall_data():
@@ -548,6 +581,22 @@ def test_solutions_on_grid_descends_past_a_path_tie():
     assert coefs.shape == (grid.size, data.p)
     for lam, coef in zip(grid, coefs):
         assert kkt_residual(data, coef, lam) <= KKT_TOL
+
+
+def test_solutions_on_grid_descends_past_a_singular_border(monkeypatch):
+    """Column 2 = column 0 + column 1: the path ends early when an entrant's
+    border pivot vanishes, just above lambda 0, and descent answers there."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 6))
+    X[:, 2] = X[:, 0] + X[:, 1]
+    data = DataSet(X=X, y=X[:, 0] + 0.5 * X[:, 1] + X[:, 3] + 0.3 * rng.standard_normal(30))
+    path = fit_lasso_path(data)
+    assert not path.completed and path.terminal_lambda > 0.0
+    grid = np.append(default_lambda_grid(data, points=10), 0.0)
+    calls = count_descent_calls(monkeypatch)
+    for lam, coef in zip(grid, solutions_on_grid(data, grid)):
+        assert kkt_residual(data, coef, lam) <= KKT_TOL
+    assert len(calls) == grid.size - 1  # least squares at lambda 0
 
 
 def test_fixed_lambda_supports_ignore_order_and_repeats():
