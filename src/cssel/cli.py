@@ -42,7 +42,7 @@ from .dataio import (
     write_clusters_json,
     write_css_result,
 )
-from .lasso import ConvergenceFailure, InsufficientPath, PathTie, RankDeficient
+from .lasso import ConvergenceFailure, InsufficientPath, RankDeficient
 from .oracle import (
     C2_MAX,
     ProxyModelParams,
@@ -62,7 +62,6 @@ EXIT_SOLVER = 3
 _SOLVER_ERRORS = (
     ConvergenceFailure,
     HalfSampleFailure,
-    PathTie,
     InsufficientPath,
     RankDeficient,
     np.linalg.LinAlgError,

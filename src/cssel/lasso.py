@@ -13,9 +13,11 @@ y are mean-centered first and coefficients apply to centered columns.
 Two independent routes solve the same problem: a homotopy that tracks the
 exact piecewise-linear solution path in lambda (knot by knot), and cyclic
 coordinate descent at a fixed lambda.  They are kept separate so each can
-certify the other.  The package reads every support at a given lambda off
-fixed_lambda_supports; fit_lasso_at, descent from zero, is the independent
-check on it.
+certify the other.  The homotopy is the only production solver: it takes
+tied entrants together and keeps out entrants in the span of the active
+columns, so it runs on duplicated and collinear columns too.  The package
+reads every support at a given lambda off fixed_lambda_supports;
+fit_lasso_at, descent from zero, is the independent check on it.
 """
 
 from __future__ import annotations
@@ -32,18 +34,7 @@ from .data import DataSet, center_and_scale
 KKT_TOL = 1e-8
 CD_TOL = 1e-10
 TIE_REL = 1e-12
-
-
-class PathTie(Exception):
-    """Two features would enter the path at numerically identical lambda."""
-
-    def __init__(self, lam: float, features: tuple[int, ...]):
-        self.lam = float(lam)
-        self.features = tuple(sorted(int(f) for f in features))
-        super().__init__(
-            f"path tie at lambda={self.lam!r}: features {self.features} "
-            "enter at numerically identical knots"
-        )
+PIVOT_REL = 1e-10
 
 
 class ConvergenceFailure(Exception):
@@ -77,8 +68,6 @@ class RankDeficient(Exception):
 def _scaled_view(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (U, y, norms) with U the norm-scaled (optionally centered) X."""
     s = center_and_scale(data.X, data.y, data.center)
-    if s.zero_norm.size:
-        raise ValueError(f"columns {s.zero_norm.tolist()} have zero norm; cannot scale")
     return s.U, s.y, s.norms
 
 
@@ -108,11 +97,12 @@ class LassoPath:
     """Exact solution path, recorded knot by knot.
 
     knots: (lambda, event, feature) with event "enter" or "drop", lambdas
-    strictly decreasing.  knot_coefs holds the coefficient vector (original
-    basis) at each knot.  The final linear segment runs from the last knot
-    down to terminal_lambda with terminal_coefs there: 0 for a full path,
-    stop_lambda for a truncated one, else the last knot's lambda (a max_steps
-    cut or a singular border).  Queries below terminal_lambda are invalid.
+    non-increasing: features that tie enter at one lambda, each with its own
+    knot and the same coefficient row.  knot_coefs holds the coefficient
+    vector (original basis) at each knot.  The final linear segment runs from
+    the last knot down to terminal_lambda with terminal_coefs there: 0 for a
+    full path, stop_lambda for a truncated one, else the last knot's lambda
+    (a max_steps cut).  Queries below terminal_lambda are invalid.
     """
 
     knots: tuple[tuple[float, str, int], ...]
@@ -169,12 +159,14 @@ def _border(L: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, int]:
     """Lower Cholesky factor of [[M, b], [b^T, c]], given the factor L of M.
 
     Returns (factor, 0), or (L, 1) when the new pivot c - w.w (w = L^-1 b) is
-    not positive: the new column lies numerically in the span of the others.
+    at most PIVOT_REL * c: the new column lies numerically in the span of the
+    others.  Exact copies leave rounding (4.4e-16 measured), genuine entrants
+    of sparse and two-proxy half samples 5.9e-7 or more.
     """
     k = L.shape[0]
     w = dtrtrs(L, b, lower=1)[0] if k else b
     pivot = c - w @ w
-    if not pivot > 0.0:
+    if not pivot > PIVOT_REL * c:
         return L, 1
     grown = np.zeros((k + 1, k + 1), order="F")
     grown[:k, :k] = L
@@ -190,17 +182,24 @@ def fit_lasso_path(
     On each segment the active-set coefficients are linear in lambda; the
     next knot is the largest lambda at which an inactive feature's
     correlation reaches the boundary (enter) or an active coefficient hits
-    zero (drop).  Ties between two would-be entrants raise PathTie.
-    stop_lambda truncates the path once every remaining event lies below it;
-    coefficients_at stays exact down to the truncation point.
+    zero (drop).  Features tied within TIE_REL enter together, in index
+    order, each with its own knot at the same lambda.  stop_lambda truncates
+    the path once every remaining event lies below it; coefficients_at stays
+    exact down to the truncation point.
 
-    At most rank(U) features are active, n or n - 1 when centered; then the
-    next event is a drop, so p > n paths also reach lambda 0.  A singular
-    border ends the path early at its last knot, as a max_steps cut does.
+    An entrant whose column lies numerically in the span of the active ones
+    (its bordered pivot is at most PIVOT_REL) cannot legitimately enter: its
+    correlation is pinned to theirs (Tibshirani 2013, "The lasso problem and
+    uniqueness", sec. 3).  It gets no knot and stays out until the next drop
+    re-opens every inactive feature.  So of exact duplicates the lowest index
+    enters and the copies stay at zero.  A zero-norm column is never taken
+    in.  At most rank(U) features are active, n or n - 1 when centered; then
+    the next event is a drop, so p > n paths also reach lambda 0.  The path
+    ends early only at a max_steps cut.
 
     The Gram column U^T u_j of each entrant is computed once and kept, so a
     knot costs one (p x k)(k x 2) product; memory is O(p min(n, p)).  The
-    active Gram's Cholesky factor is bordered by an entrant and refactored
+    active Gram's Cholesky factor is bordered by each entrant and refactored
     after a drop (Efron et al. 2004).
     """
     if max_steps is not None and max_steps < 1:
@@ -220,41 +219,54 @@ def fit_lasso_path(
             terminal_coefs=np.zeros(p),
         )
 
-    top = np.flatnonzero(np.abs(c0) >= mu1 * (1.0 - TIE_REL))
-    if top.size > 1:
-        raise PathTie(mu1 / n, tuple(top))
-    j1 = int(top[0])
-
-    knots: list[tuple[float, str, int]] = [(mu1 / n, "enter", j1)]
-    # (active features, their scaled coefficients) at each knot after the
-    # first, then at the path's end when it ran past its last knot
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    inactive = np.arange(p) != j1
     max_active = n - int(data.center)
+    knots: list[tuple[float, str, int]] = []
+    # (active features, their scaled coefficients) at each knot, then at the
+    # path's end when it ran past its last knot
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
     # The k active features are act[:k], in entry order.  Column i of G is
     # U^T u_j and row i of cs is [c0_j, sign of beta_j] for j = act[i]; L
     # factors the active Gram G[act[:k], :k] and is None when a drop left it
-    # to be refactored.
+    # to be refactored.  candidates are the features neither active nor
+    # kept out.
     act = np.empty(min(n, p), dtype=np.intp)
     G = np.empty((p, act.size), order="F")
     cs = np.empty((act.size, 2))
-    act[0], cs[0], k = j1, (c0[j1], np.sign(c0[j1])), 1
-    L, info = np.zeros((0, 0), order="F"), 0
-    mu_cur, last_event, terminal_lambda = mu1, ("enter", j1), None
+    k, L = 0, np.zeros((0, 0), order="F")
+    candidates = np.ones(p, dtype=bool)
+    # The features tied at the first knot are the first entrants.
+    top = np.flatnonzero(np.abs(c0) >= mu1 * (1.0 - TIE_REL))[:max_active]
+    entering = [(j, np.sign(c0[j])) for j in top]
+    mu_next, row = mu1, (act[:0].copy(), c0[:0])
+    # fresh features entered at mu_cur; dropped left at mu_cur, else -1
+    mu_cur, fresh, dropped, terminal_lambda = mu1, 0, -1, None
     both_signs = np.array([[1.0], [-1.0]])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
+            if L is None:
+                L, info = dpotrf(G[act[:k], :k], lower=1)
+                if info:
+                    raise np.linalg.LinAlgError("active Gram singular after a drop")
+            # Border the entrants one at a time.  A dependent one is kept out;
+            # when none is left, the event did not happen and the path goes
+            # on from its previous knot.
+            for j, sign in entering:
+                candidates[j] = False
+                G[:, k] = U.T @ U[:, j]
+                L, dependent = _border(L, G[act[:k], k], G[j, k])
+                if not dependent:
+                    act[k], cs[k] = j, (c0[j], sign)
+                    k += 1
+                    knots.append((mu_next / n, "enter", int(j)))
+                    rows.append(row)
+                    if mu_cur != mu_next:
+                        mu_cur, fresh, dropped = mu_next, 0, -1
+                    fresh += 1
+            entering = []
             if max_steps is not None and len(knots) >= max_steps:
                 break
             A = act[:k]
-            if L is None:
-                L, info = dpotrf(G[A, :k], lower=1)
-            elif L.shape[0] < k:
-                G[:, k - 1] = U.T @ U[:, A[-1]]
-                L, info = _border(L, G[A[:-1], k - 1], G[A[-1], k - 1])
-            if info:
-                break
             vd, _ = dpotrs(L, cs[:k], lower=1)
             v, d = vd[:, 0], vd[:, 1]
             # beta_A(mu) = v - mu*d on the scaled basis for mu in
@@ -275,26 +287,26 @@ def fit_lasso_path(
             # rounding and no feature is a candidate.
             denom = both_signs - g
             roots = a / denom
-            valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper) & inactive
+            valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper) & candidates
             valid &= k < max_active
-            if last_event[0] == "drop":
-                valid[:, last_event[1]] &= roots[:, last_event[1]] < spurious_cut
+            if dropped >= 0:
+                valid[:, dropped] &= roots[:, dropped] < spurious_cut
             roots = np.where(valid, roots, -np.inf)
             entry = int(roots.argmax())
             mu_entry = float(roots.flat[entry])
+            group = [(entry % p, both_signs[entry // p, 0])]
             # The exact tie test runs only when a second root is near the top.
             near = np.count_nonzero(roots >= mu_entry * (1.0 - 2 * TIE_REL))
             if mu_entry > -np.inf and near > 1:
                 tied = np.abs(roots - mu_entry) <= TIE_REL * mu_entry
-                tied_features = np.flatnonzero(tied.any(axis=0))
-                if tied_features.size > 1:
-                    raise PathTie(mu_entry / n, tuple(tied_features))
+                tied_features = np.flatnonzero(tied.any(axis=0))[: max_active - k]
+                group = [(j, 1.0 if tied[0, j] else -1.0) for j in tied_features]
 
             # Drop roots of the active coefficients, first maximum in entry order.
             roots = v / d
             valid = (roots > 0.0) & (roots < upper)
-            if last_event[0] == "enter":
-                valid[-1] &= roots[-1] < spurious_cut
+            for i in range(k - fresh, k):
+                valid[i] &= roots[i] < spurious_cut
             roots = np.where(valid, roots, -np.inf)
             drop = int(roots.argmax())
             mu_drop = float(roots[drop])
@@ -308,33 +320,29 @@ def fit_lasso_path(
                 rows.append((A.copy(), v - n * terminal_lambda * d))
                 break
 
-            beta_A = v - mu_next * d
-            rows.append((A.copy(), beta_A))
+            row = (A.copy(), v - mu_next * d)
             # Drops take precedence at numerically equal knots (measure-zero
             # case).
             if mu_drop >= mu_entry:
-                j_ev, event = int(A[drop]), "drop"
-                beta_A[drop] = 0.0
-                inactive[j_ev] = True
+                j_ev = int(A[drop])
+                row[1][drop] = 0.0
+                rows.append(row)
+                knots.append((mu_next / n, "drop", j_ev))
                 k -= 1
                 act[drop:k] = act[drop + 1 : k + 1]
                 G[:, drop:k] = G[:, drop + 1 : k + 1]
                 cs[drop:k] = cs[drop + 1 : k + 1]
                 L = None
+                candidates[:] = True
+                candidates[act[:k]] = False
+                mu_cur, fresh, dropped = mu_next, 0, j_ev
             else:
-                j_ev, event = entry % p, "enter"
-                inactive[j_ev] = False
-                act[k], cs[k] = j_ev, (c0[j_ev], both_signs[entry // p, 0])
-                k += 1
-            last_event = (event, j_ev)
-            knots.append((mu_next / n, event, j_ev))
-            mu_cur = mu_next
+                entering = group
 
-    coefs = np.zeros((len(rows) + 1, p))
-    if rows:
-        cols = np.concatenate([A for A, _ in rows])
-        at = np.repeat(np.arange(1, len(rows) + 1), [A.size for A, _ in rows])
-        coefs[at, cols] = np.concatenate([b for _, b in rows]) / norms[cols]
+    coefs = np.zeros((len(rows), p))
+    cols = np.concatenate([A for A, _ in rows])
+    at = np.repeat(np.arange(len(rows)), [A.size for A, _ in rows])
+    coefs[at, cols] = np.concatenate([b for _, b in rows]) / norms[cols]
     return LassoPath(
         knots=tuple(knots), knot_coefs=coefs[: len(knots)],
         terminal_lambda=knots[-1][0] if terminal_lambda is None else terminal_lambda,
@@ -418,11 +426,13 @@ def fit_lasso_at(
     max_iter: int = 10000,
     kkt_tol: float = KKT_TOL,
 ) -> LassoFit:
-    """Coordinate-descent solution at a fixed lambda."""
+    """Coordinate-descent solution at a fixed lambda; no column may be zero."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     U, y, norms = _scaled_view(data)
     n, p = U.shape
+    if not norms.all():  # descent divides by the Gram diagonal
+        raise ValueError(f"columns {np.flatnonzero(norms == 0).tolist()} have zero norm")
 
     if lam == 0.0:
         beta, *_ = np.linalg.lstsq(U, y, rcond=None)
@@ -456,40 +466,21 @@ def solutions_on_grid(data: DataSet, grid: np.ndarray) -> np.ndarray:
     """Coefficients (original basis) at each lambda of a decreasing grid.
 
     Row i solves grid[i].  The rows are read off one homotopy path truncated
-    at the grid's bottom.  A knot tie, or a path that ended above the bottom
-    at a singular border, falls back to coordinate descent warm-started down
-    the grid, with least squares at lambda 0.  Nothing here certifies the
-    answers: fixed_lambda_supports checks kkt_residual.
+    at the grid's bottom, which it always reaches.  Nothing here certifies
+    the answers: fixed_lambda_supports checks kkt_residual.
     """
     grid = np.asarray(grid, dtype=float)
-    try:
-        path = fit_lasso_path(data, stop_lambda=float(grid[-1]))
-    except PathTie:
-        path = None
-    if path is not None and path.terminal_lambda <= grid[-1]:
-        return np.array([path.coefficients_at(lam) for lam in grid])
-
-    U, y, norms = _scaled_view(data)
-    G = U.T @ U
-    c = U.T @ y
-    beta = np.zeros(data.p)
-    out = np.empty((grid.size, data.p))
-    for i, lam in enumerate(grid):
-        if lam == 0.0:
-            beta, *_ = np.linalg.lstsq(U, y, rcond=None)
-        else:
-            beta, _ = _cd_solve(G, c, data.n * lam, beta, CD_TOL, 10000)
-        out[i] = beta / norms
-    return out
+    path = fit_lasso_path(data, stop_lambda=float(grid[-1]))
+    return np.array([path.coefficients_at(lam) for lam in grid])
 
 
 def fixed_lambda_supports(data: DataSet, lambdas) -> np.ndarray:
     """Boolean lasso supports, one row per distinct lambda, largest first.
 
     The one route for a support at a given lambda: the distinct lambdas are
-    solved together by solutions_on_grid (one homotopy path, else coordinate
-    descent), and a solution whose KKT residual exceeds KKT_TOL raises
-    ConvergenceFailure, whichever route produced it.
+    read off one homotopy path by solutions_on_grid, and a solution whose
+    KKT residual exceeds KKT_TOL raises ConvergenceFailure.  So a feature the
+    path wrongly kept out, as a dependent entrant, fails loudly.
     """
     grid = np.unique(lambdas)[::-1]
     coefs = solutions_on_grid(data, grid)

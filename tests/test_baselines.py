@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cssel import lasso
 from cssel.baselines import (
     average_representatives,
     cluster_rep_lasso,
@@ -18,7 +19,7 @@ from cssel.core import (
     run_base_selections,
 )
 from cssel.data import DataSet
-from cssel.lasso import fit_lasso_at, fit_lasso_path
+from cssel.lasso import ConvergenceFailure, fit_lasso_at, fit_lasso_path
 from cssel.subsampling import draw_complementary_pairs, draw_half_samples, restrict
 
 
@@ -84,17 +85,19 @@ def test_mb_validates_subsamples():
         stability_selection_mb(data, subs, ())
 
 
-def test_solver_failure_is_labeled():
+def test_solver_failure_is_labeled(monkeypatch):
     data = instance(5, n=40, p=4)
-    X = data.X.copy()
-    X[:, 1] = 0.0
-    bad = DataSet(X=X, y=data.y)
-    plan = draw_complementary_pairs(bad.n, B=2, seed=0)
+    plan = draw_complementary_pairs(data.n, B=2, seed=0)
+
+    def failed_certificate(*args):
+        raise ConvergenceFailure(1.0, None)
+
+    monkeypatch.setattr(lasso, "kkt_residual", failed_certificate)
     with pytest.raises(HalfSampleFailure) as info:
-        stability_selection_ss(bad, plan, (0.1,))
+        stability_selection_ss(data, plan, (0.1,))
     assert info.value.pair == 0 and info.value.half == "A"
     with pytest.raises(HalfSampleFailure) as info:
-        stability_selection_mb(bad, draw_half_samples(bad.n, B=2, seed=0), (0.1,))
+        stability_selection_mb(data, draw_half_samples(data.n, B=2, seed=0), (0.1,))
     assert info.value.pair == 0 and info.value.half == "subsample"
 
 

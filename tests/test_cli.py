@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from cssel import core
+from cssel import core, lasso
 from cssel.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, build_parser, main
 from cssel.dataio import load_dataset
-from cssel.lasso import lambda_max
+from cssel.lasso import ConvergenceFailure, lambda_max
 from cssel.oracle import (
     ideal_risk,
     min_weighted_risk,
@@ -158,11 +158,13 @@ def test_exit_code_2_on_invalid_input(tmp_path, capsys):
     )
 
 
-def test_exit_code_3_on_solver_failure(tmp_path, capsys):
-    xp, yp, X, _ = write_xy(tmp_path, seed=5)
-    Xz = X.copy()
-    Xz[:, 2] = 0.0  # zero norm on every half sample
-    np.savetxt(xp, Xz, delimiter=",")
+def test_exit_code_3_on_solver_failure(tmp_path, capsys, monkeypatch):
+    xp, yp, _, _ = write_xy(tmp_path, seed=5)
+
+    def failed_certificate(*args):
+        raise ConvergenceFailure(1.0, None)
+
+    monkeypatch.setattr(lasso, "kkt_residual", failed_certificate)
     code = run_cli(
         "run", "--x", xp, "--y", yp, "--out", tmp_path / "o",
         "--lambda", "0.2", "--B", "2", "--seed", "0",

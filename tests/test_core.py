@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cssel import lasso
 from cssel.core import (
     ClusterPartition,
     CssResult,
@@ -19,7 +20,7 @@ from cssel.core import (
     threshold_select,
 )
 from cssel.data import DataSet
-from cssel.lasso import cross_validate_lambda, fit_lasso_at
+from cssel.lasso import ConvergenceFailure, cross_validate_lambda, fit_lasso_at
 from cssel.subsampling import draw_complementary_pairs, restrict
 
 
@@ -288,16 +289,43 @@ def test_cv_base_is_deterministic():
         assert set(np.flatnonzero(row).tolist()) == fit_lasso_at(half, lam).support
 
 
-def test_half_sample_failure_names_the_half():
+def test_half_sample_failure_names_the_half(monkeypatch):
     data = small_instance(6, n=30, p=4)
-    X = data.X.copy()
-    X[:, 2] = 0.0  # zero norm on every half sample
-    bad = DataSet(X=X, y=data.y)
-    plan = draw_complementary_pairs(bad.n, B=2, seed=0)
+    plan = draw_complementary_pairs(data.n, B=2, seed=0)
+
+    def failed_certificate(*args):
+        raise ConvergenceFailure(1.0, None)
+
+    monkeypatch.setattr(lasso, "kkt_residual", failed_certificate)
     with pytest.raises(HalfSampleFailure) as info:
-        run_base_selections(bad, plan, lambdas=(0.1,))
+        run_base_selections(data, plan, lambdas=(0.1,))
     assert info.value.pair == 0 and info.value.half == "A"
     assert "pair 0" in str(info.value)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_zero_norm_column_in_a_half_counts_as_not_selected(center):
+    """Regression: column 5 holds three ones and is all zero on 5 of the 100
+    halves, where scaling raised and the run stopped (pair 13, Ac).  Those
+    halves now leave it unselected, with the supports of the design
+    without it."""
+    rng = np.random.default_rng(0)
+    X = (rng.random((200, 20)) < 0.3).astype(float)
+    X[:, 5] = 0.0
+    X[[3, 50, 120], 5] = 1.0
+    y = X[:, :4].sum(axis=1) + X[:, 5] + rng.standard_normal(200)
+    data = DataSet(X=X, y=y, center=center)
+    plan = draw_complementary_pairs(200, 50, 1)
+    lam = cross_validate_lambda(data)
+    S = run_base_selections(data, plan, lambdas=(lam,))
+    zero = [i for i, (_, rows) in enumerate(plan.halves()) if not X[rows, 5].any()]
+    assert len(zero) == 5 and not S[zero, 5].any()
+    for i in zero:
+        half = restrict(data, plan.halves()[i][1])
+        rest = DataSet(X=np.delete(half.X, 5, axis=1), y=half.y, center=center)
+        assert np.flatnonzero(np.delete(S[i], 5)).tolist() == sorted(
+            fit_lasso_at(rest, lam).support
+        )
 
 
 def test_threads_do_not_change_records():

@@ -2,7 +2,9 @@
 closed-form first knot and CV contracts."""
 
 import importlib
+import inspect
 import pkgutil
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from cssel.lasso import (
     ConvergenceFailure,
     InsufficientPath,
     LassoPath,
-    PathTie,
     _border,
     cross_validate_lambda,
     default_lambda_grid,
@@ -173,14 +174,40 @@ def test_scale_equivariance_of_entry_order():
     assert order == order2
 
 
-def test_duplicate_columns_raise_path_tie():
+def test_duplicate_columns_enter_once_at_the_lowest_index(monkeypatch):
+    """Columns 0 and 1 are equal and tie at the first knot: column 0 enters,
+    its copy is kept out, and the path runs to lambda 0 without descent."""
     rng = np.random.default_rng(10)
     x = rng.standard_normal(20)
     X = np.column_stack([x, x, rng.standard_normal(20)])
-    y = x + 0.01 * rng.standard_normal(20)
-    with pytest.raises(PathTie) as exc:
-        fit_lasso_path(DataSet(X=X, y=y))
-    assert exc.value.features == (0, 1)
+    data = DataSet(X=X, y=x + 0.01 * rng.standard_normal(20))
+    calls = count_descent_calls(monkeypatch)
+    path = fit_lasso_path(data)
+    assert path.completed and path.entry_order() == [0, 2]
+    assert not path.knot_coefs[:, 1].any() and path.terminal_coefs[1] == 0.0
+    for (lam, _, _), coef in zip(path.knots, path.knot_coefs):
+        assert kkt_residual(data, coef, lam) <= KKT_TOL
+    assert kkt_residual(data, path.coefficients_at(0.0), 0.0) <= KKT_TOL
+    assert calls == []
+
+
+def test_independent_tied_features_enter_at_one_knot():
+    """Orthogonal columns tied at the first knot (0 and 1) or further down
+    (1 and 2) both enter, each with its own knot at the same lambda; the
+    interpolation is KKT-exact above, at and below the repeated knot."""
+    X = np.eye(6)[:, :4] * (1, 2, 3, 4)
+    for y, pair in (((1, 1, 0.5, 0.2, 0, 0), (0, 1)), ((2, 1, 1, 0.3, 0, 0.1), (1, 2))):
+        data = DataSet(X=X, y=np.array(y, dtype=float))
+        path = fit_lasso_path(data)
+        assert path.completed and sorted(path.entry_order()) == [0, 1, 2, 3]
+        tied = [(lam, j) for lam, _, j in path.knots if j in pair]
+        assert [j for _, j in tied] == list(pair) and tied[0][0] == tied[1][0]
+        lams = [k[0] for k in path.knots]
+        assert all(a >= b for a, b in zip(lams, lams[1:]))
+        queries = lams + [0.5 * (hi + lo) for hi, lo in zip(lams, lams[1:])]
+        queries += [0.5 * lams[-1], 0.0, tied[0][0] * (1 + 1e-6), tied[0][0] * (1 - 1e-6)]
+        for lam in queries:
+            assert kkt_residual(data, path.coefficients_at(lam), lam) <= KKT_TOL
 
 
 def test_select_first_k_prefix_and_reentry():
@@ -357,10 +384,16 @@ def test_rejects_nonfinite_input():
 
 
 def test_zero_norm_column_rejected_at_solve_time():
+    """Descent divides by the Gram diagonal and rejects a zero column; the
+    path keeps it at 0, so it counts as not selected."""
     X = np.column_stack([np.zeros(6), np.arange(6.0)])
-    data = DataSet(X=X, y=np.arange(6.0))
+    data = DataSet(X=X, y=np.arange(6.0) + np.array([0.5, -0.5, 0, 0, 0.5, -0.5]))
     with pytest.raises(ValueError, match="zero norm"):
-        fit_lasso_path(data)
+        fit_lasso_at(data, 0.1)
+    path = fit_lasso_path(data)
+    assert path.completed and path.entry_order() == [1]
+    assert path.coefficients_at(0.0)[0] == 0.0
+    assert fixed_lambda_supports(data, (0.1, 0.0)).tolist() == [[False, True]] * 2
 
 
 def test_stop_lambda_truncates_path_exactly():
@@ -569,34 +602,65 @@ def test_solutions_on_grid_reads_the_path_on_tall_data():
         assert np.max(np.abs(coef - fit.coefficients)) < 1e-6
 
 
-def test_solutions_on_grid_descends_past_a_path_tie():
+def test_solutions_on_grid_reads_the_path_past_a_tie(monkeypatch):
+    """Columns 0 and 1 are equal: the grid, down to lambda 0, is read off
+    one path that keeps the copy out."""
     rng = np.random.default_rng(28)
     x = rng.standard_normal(30)
     X = np.column_stack([x, x, rng.standard_normal((30, 3))])
     data = DataSet(X=X, y=x + 0.3 * rng.standard_normal(30))
-    with pytest.raises(PathTie):
-        fit_lasso_path(data)
     grid = np.append(default_lambda_grid(data, points=10), 0.0)
+    calls = count_descent_calls(monkeypatch)
     coefs = solutions_on_grid(data, grid)
-    assert coefs.shape == (grid.size, data.p)
+    assert coefs.shape == (grid.size, data.p) and not coefs[:, 1].any()
     for lam, coef in zip(grid, coefs):
         assert kkt_residual(data, coef, lam) <= KKT_TOL
+    assert calls == []
 
 
-def test_solutions_on_grid_descends_past_a_singular_border(monkeypatch):
-    """Column 2 = column 0 + column 1: the path ends early when an entrant's
-    border pivot vanishes, just above lambda 0, and descent answers there."""
+def test_solutions_on_grid_reads_the_path_past_a_dependent_entrant(monkeypatch):
+    """Column 2 = column 0 + column 1: the third of them to reach the
+    boundary lies in the span of the other two and is kept out, so the path
+    completes and no grid lambda needs descent."""
     rng = np.random.default_rng(0)
     X = rng.standard_normal((30, 6))
     X[:, 2] = X[:, 0] + X[:, 1]
     data = DataSet(X=X, y=X[:, 0] + 0.5 * X[:, 1] + X[:, 3] + 0.3 * rng.standard_normal(30))
-    path = fit_lasso_path(data)
-    assert not path.completed and path.terminal_lambda > 0.0
-    grid = np.append(default_lambda_grid(data, points=10), 0.0)
     calls = count_descent_calls(monkeypatch)
+    path = fit_lasso_path(data)
+    assert path.completed and np.count_nonzero(path.terminal_coefs[:3]) == 2
+    grid = np.append(default_lambda_grid(data, points=10), 0.0)
     for lam, coef in zip(grid, solutions_on_grid(data, grid)):
         assert kkt_residual(data, coef, lam) <= KKT_TOL
-    assert len(calls) == grid.size - 1  # least squares at lambda 0
+    assert calls == []
+
+
+def sparse_with_copy(d):
+    """gen_sparse_instance(0, 0) with a copy of column d as column 100."""
+    data = gen_sparse_instance(0, 0).data
+    return DataSet(X=np.column_stack([data.X, data.X[:, d]]), y=data.y)
+
+
+def test_cv_on_a_duplicated_column_reads_every_fold_off_the_path(monkeypatch):
+    """Regression: one copied column tied every fold's path, and 10-fold CV
+    re-solved all 100 grid points of every fold by descent (150 s)."""
+    data = sparse_with_copy(0)
+    path = fit_lasso_path(data)
+    assert path.completed and 100 not in path.entry_order()
+    calls = count_descent_calls(monkeypatch)
+    assert cross_validate_lambda(data) > 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [0, 10])
+def test_first_k_path_base_never_selects_a_copy(d):
+    """The k-th entrant is bordered before the path is cut after k knots, so
+    a copy kept out of the path is never among the first k."""
+    data = sparse_with_copy(d)
+    plan = draw_complementary_pairs(data.n, 50, 0)
+    S = core.run_base_selections(data, plan, base="first-k-path", first_k=5)
+    assert S.sum(axis=1).tolist() == [5] * len(S)
+    assert not S[:, 100].any()
 
 
 def test_fixed_lambda_supports_ignore_order_and_repeats():
@@ -614,8 +678,8 @@ def test_fixed_lambda_supports_ignore_order_and_repeats():
 
 def test_bordered_factor_matches_cholesky_and_flags_dependence():
     """Bordering with stored Gram columns, one entrant at a time, equals a
-    fresh factorization; a column in the span of the earlier ones has no
-    positive pivot and leaves the factor as it was."""
+    fresh factorization; a column in the span of the earlier ones has a
+    pivot of at most rounding size and leaves the factor as it was."""
     rng = np.random.default_rng(26)
     U = rng.standard_normal((12, 6))
     G = U.T @ U
@@ -630,6 +694,14 @@ def test_bordered_factor_matches_cholesky_and_flags_dependence():
     assert info == 0
     grown, info = _border(L, G[:1, 1], G[1, 1])
     assert info == 1 and grown is L
+    # An exact copy of a unit column: its pivot rounds to about 1e-16, of
+    # either sign, and must be flagged all the same.
+    U /= np.linalg.norm(U, axis=0)
+    G = U.T @ U
+    L = np.linalg.cholesky(G).copy(order="F")
+    for j in range(6):
+        grown, info = _border(L, G[:, j], G[j, j])
+        assert info == 1 and grown is L
 
 
 def test_first_entrants_lengthen_past_a_drop():
@@ -687,14 +759,30 @@ def test_tall_half_entrant_does_not_drop_at_its_entry_knot():
     assert kkt_residual(half, path.coefficients_at(lam), lam) <= KKT_TOL
 
 
+def names_read(fn) -> set:
+    """Global names read by a function's code, nested code included."""
+    names, stack = set(), [fn.__code__]
+    while stack:
+        code = stack.pop()
+        names |= set(code.co_names)
+        stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return names
+
+
 def test_only_lasso_binds_coordinate_descent():
     """Every fixed-lambda support outside cssel.lasso goes through
-    fixed_lambda_supports; coordinate descent stays the independent check."""
+    fixed_lambda_supports; coordinate descent stays the independent check,
+    and inside cssel.lasso only fit_lasso_at calls it.  No module has a
+    path-tie exception left to fall back on."""
     descent = {"fit_lasso_at": lasso.fit_lasso_at, "_cd_solve": lasso._cd_solve}
     for info in pkgutil.iter_modules(cssel.__path__):
         module = importlib.import_module(f"cssel.{info.name}")
+        assert "PathTie" not in vars(module), f"{module.__name__} binds PathTie"
         if module is lasso:
             continue
         for name, fn in descent.items():
             assert name not in vars(module), f"{module.__name__} binds {name}"
             assert all(value is not fn for value in vars(module).values())
+    functions = [f for f in vars(lasso).values() if inspect.isfunction(f)]
+    callers = {f.__name__ for f in functions if "_cd_solve" in names_read(f)}
+    assert callers == {"fit_lasso_at"}
