@@ -16,10 +16,10 @@ import numpy as np
 
 from .data import DataSet
 from .lasso import (
+    InsufficientPath,
     cross_validate_lambda,
     fit_lasso_path,
     fixed_lambda_supports,
-    select_first_k,
 )
 from .subsampling import SubsamplePlan, draw_complementary_pairs, restrict
 
@@ -111,17 +111,15 @@ def map_halves(data: DataSet, halves, fit, threads: int) -> list:
 
 
 def first_entrants(data: DataSet, k: int) -> list[int]:
-    """select_first_k of the full path, computing only the knots it needs.
+    """The first k distinct features to enter the lasso path, in entry order.
 
-    The path is cut after k knots and lengthened only while drops leave
-    fewer than k distinct entrants before the cut.
+    One path, stopped where its k-th distinct feature enters; raises
+    InsufficientPath when the whole path has fewer.
     """
-    steps = k
-    while True:
-        path = fit_lasso_path(data, max_steps=steps)
-        if len(path.entry_order()) >= k or len(path.knots) < steps:
-            return select_first_k(path, k)
-        steps *= 2
+    order = fit_lasso_path(data, first_k=k).entry_order()
+    if len(order) < k:
+        raise InsufficientPath(f"path has {len(order)} distinct entries, {k} requested")
+    return order[:k]
 
 
 def run_base_selections(

@@ -23,13 +23,14 @@ fit_lasso_at, descent from zero, is the independent check on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .data import DataSet, center_and_scale
+from .rng import DOMAIN_CV, stream_rng
+from .subsampling import restrict
 
 KKT_TOL = 1e-8
 CD_TOL = 1e-10
@@ -41,7 +42,7 @@ class ConvergenceFailure(Exception):
     """A solution failed its KKT check.
 
     iterations counts the coordinate-descent sweeps of fit_lasso_at, and is
-    None for a solution that came from solutions_on_grid.
+    None for a solution read off the path by fixed_lambda_supports.
     """
 
     def __init__(self, residual: float, iterations: int | None):
@@ -65,16 +66,10 @@ class RankDeficient(Exception):
         super().__init__(f"design is rank deficient; dependent columns {self.columns}")
 
 
-def _scaled_view(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (U, y, norms) with U the norm-scaled (optionally centered) X."""
-    s = center_and_scale(data.X, data.y, data.center)
-    return s.U, s.y, s.norms
-
-
 def lambda_max(data: DataSet) -> float:
     """Smallest lambda with all-zero solution: max_j |X_j^T y| / (n ||X_j||)."""
-    U, y, _ = _scaled_view(data)
-    return float(np.max(np.abs(U.T @ y)) / data.n)
+    s = center_and_scale(data.X, data.y, data.center)
+    return float(np.max(np.abs(s.U.T @ s.y)) / data.n)
 
 
 def kkt_residual(data: DataSet, coefficients: np.ndarray, lam: float) -> float:
@@ -83,7 +78,7 @@ def kkt_residual(data: DataSet, coefficients: np.ndarray, lam: float) -> float:
     For active j the stationarity gap |X_j^T r / (n||X_j||) - lam*sign(b_j)|,
     for inactive j the excess max(0, |X_j^T r| / (n||X_j||) - lam).
     """
-    U, y, norms = _scaled_view(data)
+    U, y, _, _, norms, _ = center_and_scale(data.X, data.y, data.center)
     b = np.asarray(coefficients, dtype=float)
     c = U.T @ (y - U @ (b * norms)) / data.n
     active = b != 0.0
@@ -102,7 +97,8 @@ class LassoPath:
     vector (original basis) at each knot.  The final linear segment runs from
     the last knot down to terminal_lambda with terminal_coefs there: 0 for a
     full path, stop_lambda for a truncated one, else the last knot's lambda
-    (a max_steps cut).  Queries below terminal_lambda are invalid.
+    (a first_k stop).  coefficients_at reads the path at one lambda or at a
+    whole grid in one call; queries below terminal_lambda are invalid.
     """
 
     knots: tuple[tuple[float, str, int], ...]
@@ -127,32 +123,35 @@ class LassoPath:
                 seen.append(j)
         return seen
 
-    @cached_property
-    def _negated_lambdas(self) -> np.ndarray:
-        """Knot lambdas negated, so ascending, for np.searchsorted."""
-        return -np.array([k[0] for k in self.knots])
+    def coefficients_at(self, lam) -> np.ndarray:
+        """The exact solution at lambda (original basis), by interpolation.
 
-    def coefficients_at(self, lam: float) -> np.ndarray:
-        """Interpolate the exact solution at a given lambda (original basis)."""
-        if lam < 0:
+        lam is one lambda, or an array of them for one row each; a row is
+        bit for bit the vector that its lambda alone gives.
+        """
+        lams = np.asarray(lam, dtype=float)
+        if (lams < 0).any():
             raise ValueError("lambda must be nonnegative")
-        p = self.knot_coefs.shape[1] if self.knots else self.terminal_coefs.shape[0]
-        if lam < self.terminal_lambda:
+        if (lams < self.terminal_lambda).any():
             raise ValueError(
-                f"lambda={lam!r} below the computed path end {self.terminal_lambda!r}"
+                f"lambda={lams.min()!r} below the computed path end {self.terminal_lambda!r}"
             )
-        if not self.knots or lam >= self.knots[0][0]:
-            return np.zeros(p)
-        # lam lies on the segment from knot i down to the first knot at or
-        # below it, or down to the path end when there is none.
-        i = int(np.searchsorted(self._negated_lambdas, -lam)) - 1
-        if i + 1 < len(self.knots):
-            lo, right = self.knots[i + 1][0], self.knot_coefs[i + 1]
-        else:
-            lo, right = self.terminal_lambda, self.terminal_coefs
-        hi = self.knots[i][0]
-        t = 1.0 if hi == lo else (hi - lam) / (hi - lo)
-        return (1 - t) * self.knot_coefs[i] + t * right
+        queries = lams.reshape(-1)
+        out = np.zeros((queries.size, self.terminal_coefs.shape[0]))
+        if self.knots:
+            # A query below the first knot lies on the segment from knot i
+            # down to the next knot, or down to the path end after the last.
+            highs = np.array([k[0] for k in self.knots])
+            i = np.searchsorted(-highs, -queries) - 1
+            on = np.flatnonzero(i >= 0)
+            q, i = queries[on], i[on]
+            nxt, end = np.minimum(i + 1, highs.size - 1), i + 1 == highs.size
+            hi, lo = highs[i], np.where(end, self.terminal_lambda, highs[nxt])
+            right = np.where(end[:, None], self.terminal_coefs, self.knot_coefs[nxt])
+            t = np.ones(q.size)
+            np.divide(hi - q, hi - lo, out=t, where=hi != lo)
+            out[on] = (1 - t)[:, None] * self.knot_coefs[i] + t[:, None] * right
+        return out[0] if lams.ndim == 0 else out
 
 
 def _border(L: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, int]:
@@ -175,7 +174,7 @@ def _border(L: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, int]:
 
 
 def fit_lasso_path(
-    data: DataSet, max_steps: int | None = None, stop_lambda: float = 0.0
+    data: DataSet, first_k: int | None = None, stop_lambda: float = 0.0
 ) -> LassoPath:
     """Homotopy: track every knot of the exact lasso path from lambda_1 down.
 
@@ -185,7 +184,9 @@ def fit_lasso_path(
     zero (drop).  Features tied within TIE_REL enter together, in index
     order, each with its own knot at the same lambda.  stop_lambda truncates
     the path once every remaining event lies below it; coefficients_at stays
-    exact down to the truncation point.
+    exact down to the truncation point.  first_k ends the path at the knot
+    where its first_k-th distinct feature enters (with any tied with it);
+    drops and re-entries do not count, nor does a kept-out entrant.
 
     An entrant whose column lies numerically in the span of the active ones
     (its bordered pivot is at most PIVOT_REL) cannot legitimately enter: its
@@ -195,18 +196,18 @@ def fit_lasso_path(
     enters and the copies stay at zero.  A zero-norm column is never taken
     in.  At most rank(U) features are active, n or n - 1 when centered; then
     the next event is a drop, so p > n paths also reach lambda 0.  The path
-    ends early only at a max_steps cut.
+    ends early only at a first_k stop.
 
     The Gram column U^T u_j of each entrant is computed once and kept, so a
     knot costs one (p x k)(k x 2) product; memory is O(p min(n, p)).  The
     active Gram's Cholesky factor is bordered by each entrant and refactored
     after a drop (Efron et al. 2004).
     """
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be positive")
+    if first_k is not None and first_k < 1:
+        raise ValueError("first_k must be positive")
     if stop_lambda < 0:
         raise ValueError("stop_lambda must be nonnegative")
-    U, y, norms = _scaled_view(data)
+    U, y, _, _, norms, _ = center_and_scale(data.X, data.y, data.center)
     n, p = U.shape
     c0 = U.T @ y
     mu1 = float(np.max(np.abs(c0)))
@@ -228,12 +229,12 @@ def fit_lasso_path(
     # U^T u_j and row i of cs is [c0_j, sign of beta_j] for j = act[i]; L
     # factors the active Gram G[act[:k], :k] and is None when a drop left it
     # to be refactored.  candidates are the features neither active nor
-    # kept out.
+    # kept out; entered marks every feature that has ever entered.
     act = np.empty(min(n, p), dtype=np.intp)
     G = np.empty((p, act.size), order="F")
     cs = np.empty((act.size, 2))
     k, L = 0, np.zeros((0, 0), order="F")
-    candidates = np.ones(p, dtype=bool)
+    candidates, entered = np.ones(p, dtype=bool), np.zeros(p, dtype=bool)
     # The features tied at the first knot are the first entrants.
     top = np.flatnonzero(np.abs(c0) >= mu1 * (1.0 - TIE_REL))[:max_active]
     entering = [(j, np.sign(c0[j])) for j in top]
@@ -260,11 +261,12 @@ def fit_lasso_path(
                     k += 1
                     knots.append((mu_next / n, "enter", int(j)))
                     rows.append(row)
+                    entered[j] = True
                     if mu_cur != mu_next:
                         mu_cur, fresh, dropped = mu_next, 0, -1
                     fresh += 1
             entering = []
-            if max_steps is not None and len(knots) >= max_steps:
+            if first_k is not None and np.count_nonzero(entered) >= first_k:
                 break
             A = act[:k]
             vd, _ = dpotrs(L, cs[:k], lower=1)
@@ -350,17 +352,6 @@ def fit_lasso_path(
     )
 
 
-def select_first_k(path: LassoPath, k: int) -> list[int]:
-    """The first k distinct features to enter the path, in entry order."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    order = path.entry_order()
-    if len(order) < k:
-        raise InsufficientPath(f"path has {len(order)} distinct entries, {k} requested")
-    return order[:k]
-
-
-
 @dataclass(frozen=True)
 class LassoFit:
     """Solution at one fixed lambda (coefficients on the original basis)."""
@@ -429,7 +420,7 @@ def fit_lasso_at(
     """Coordinate-descent solution at a fixed lambda; no column may be zero."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    U, y, norms = _scaled_view(data)
+    U, y, _, _, norms, _ = center_and_scale(data.X, data.y, data.center)
     n, p = U.shape
     if not norms.all():  # descent divides by the Gram diagonal
         raise ValueError(f"columns {np.flatnonzero(norms == 0).tolist()} have zero norm")
@@ -462,28 +453,17 @@ def default_lambda_grid(data: DataSet, points: int = 100, min_ratio: float = 1e-
     return np.geomspace(lam1, lam1 * min_ratio, points)
 
 
-def solutions_on_grid(data: DataSet, grid: np.ndarray) -> np.ndarray:
-    """Coefficients (original basis) at each lambda of a decreasing grid.
-
-    Row i solves grid[i].  The rows are read off one homotopy path truncated
-    at the grid's bottom, which it always reaches.  Nothing here certifies
-    the answers: fixed_lambda_supports checks kkt_residual.
-    """
-    grid = np.asarray(grid, dtype=float)
-    path = fit_lasso_path(data, stop_lambda=float(grid[-1]))
-    return np.array([path.coefficients_at(lam) for lam in grid])
-
-
 def fixed_lambda_supports(data: DataSet, lambdas) -> np.ndarray:
     """Boolean lasso supports, one row per distinct lambda, largest first.
 
     The one route for a support at a given lambda: the distinct lambdas are
-    read off one homotopy path by solutions_on_grid, and a solution whose
-    KKT residual exceeds KKT_TOL raises ConvergenceFailure.  So a feature the
-    path wrongly kept out, as a dependent entrant, fails loudly.
+    read in one call off one homotopy path truncated at the smallest, which
+    it always reaches, and a solution whose KKT residual exceeds KKT_TOL
+    raises ConvergenceFailure.  So a feature the path wrongly kept out, as a
+    dependent entrant, fails loudly.
     """
     grid = np.unique(lambdas)[::-1]
-    coefs = solutions_on_grid(data, grid)
+    coefs = fit_lasso_path(data, stop_lambda=float(grid[-1])).coefficients_at(grid)
     for lam, coef in zip(grid, coefs):
         resid = kkt_residual(data, coef, lam)
         if resid > KKT_TOL:
@@ -501,12 +481,11 @@ def cross_validate_lambda(
     """Pick the grid lambda with the lowest held-out squared error.
 
     Rows are shuffled once (seeded), split into `folds` chunks, and each
-    training fold is solved at every grid point by solutions_on_grid.  Ties
-    in the pooled held-out error break toward the larger lambda.  `stream`
-    separates shuffle streams when several CV runs share one seed.
+    training fold, cut by restrict, is solved at every grid point by one
+    homotopy path read in one call.  Ties in the pooled held-out error break
+    toward the larger lambda.  `stream` separates shuffle streams when
+    several CV runs share one seed.
     """
-    from .rng import DOMAIN_CV, stream_rng
-
     if folds < 2:
         raise ValueError("need at least 2 folds")
     if folds > data.n:
@@ -526,13 +505,13 @@ def cross_validate_lambda(
     sq_err = np.zeros(grid.size)
     for chunk in chunks:
         val = np.sort(chunk)
-        train = np.sort(np.setdiff1d(perm, chunk, assume_unique=True))
-        fold = DataSet(X=data.X[train], y=data.y[train], center=data.center)
+        fold = restrict(data, np.setdiff1d(perm, chunk, assume_unique=True))
         # (x_mean, y_mean) only: keeping the fold's scaled copy alive
         # through the solve below raises the peak memory of `css run`
         x_off, y_off = center_and_scale(fold.X, fold.y, fold.center)[2:4]
         Xv, yv = data.X[val], data.y[val]
-        for i, coef in enumerate(solutions_on_grid(fold, grid)):
+        path = fit_lasso_path(fold, stop_lambda=float(grid[-1]))
+        for i, coef in enumerate(path.coefficients_at(grid)):
             pred = (Xv - x_off) @ coef + y_off
             sq_err[i] += float(np.sum((yv - pred) ** 2))
     return float(grid[int(np.argmin(sq_err))])

@@ -113,7 +113,7 @@ def test_02_knot_closed_forms_match_path():
             X = rng.standard_normal((n, p))
             y = X @ rng.standard_normal(p) + 0.5 * rng.standard_normal(n)
             data = DataSet(X=X, y=y)
-            path = fit_lasso_path(data, max_steps=2)
+            path = fit_lasso_path(data, first_k=2)
             lam1, winners = first_knot_closed_form(data)
             assert abs(path.knots[0][0] - lam1) <= 1e-10 * max(1.0, lam1)
             assert path.knots[0][2] in winners

@@ -25,8 +25,6 @@ from cssel.lasso import (
     fixed_lambda_supports,
     kkt_residual,
     lambda_max,
-    select_first_k,
-    solutions_on_grid,
 )
 from cssel.oracle import vote_splitting_interval
 from cssel.simgen import gen_sparse_instance, gen_two_proxy_instance
@@ -210,18 +208,18 @@ def test_independent_tied_features_enter_at_one_knot():
             assert kkt_residual(data, path.coefficients_at(lam), lam) <= KKT_TOL
 
 
-def test_select_first_k_prefix_and_reentry():
-    """Entry-order prefix; a dropped-and-re-entered feature counts once."""
-    template = fit_lasso_path(
-        DataSet(X=np.eye(4)[:, :2], y=np.array([1.0, 0.5, 0.0, 0.0]))
-    )
+def test_entry_order_prefix_and_reentry():
+    """Entry-order prefix; a dropped-and-re-entered feature counts once, and
+    first_entrants raises when the whole path has too few entrants."""
+    two = DataSet(X=np.eye(4)[:, :2], y=np.array([1.0, 0.5, 0.0, 0.0]))
+    template = fit_lasso_path(two)
     made = LassoPath(
         knots=((1.0, "enter", 2), (0.8, "enter", 0), (0.5, "enter", 1)),
         knot_coefs=np.zeros((3, 3)),
         terminal_lambda=0.5,
         terminal_coefs=np.zeros(3),
     )
-    assert select_first_k(made, 2) == [2, 0]
+    assert made.entry_order()[:2] == [2, 0]
     reentry = LassoPath(
         knots=(
             (1.0, "enter", 2),
@@ -233,10 +231,10 @@ def test_select_first_k_prefix_and_reentry():
         terminal_lambda=0.6,
         terminal_coefs=np.zeros(3),
     )
-    assert select_first_k(reentry, 2) == [2, 0]
+    assert reentry.entry_order() == [2, 0]
+    assert core.first_entrants(two, 2) == template.entry_order() == [0, 1]
     with pytest.raises(InsufficientPath):
-        select_first_k(made, 4)
-    assert template.entry_order()  # the real path object is also well-formed
+        core.first_entrants(two, 3)
 
 
 def test_path_drop_events_are_recorded_consistently():
@@ -440,8 +438,9 @@ def test_tall_design_path_runs_to_zero():
         assert np.max(np.abs(path.coefficients_at(0.0) - ols)) < 1e-8
 
 
-def test_cv_handles_tied_columns_via_fallback():
-    """Duplicate columns tie every fold path; CV must still pick a grid value."""
+def test_cv_picks_a_grid_value_on_tied_columns():
+    """Duplicate columns tie every fold path; CV reads each fold off its
+    path and must still pick a grid value."""
     rng = np.random.default_rng(24)
     x = rng.standard_normal(40)
     X = np.column_stack([x, x, rng.standard_normal((40, 2))])
@@ -468,7 +467,8 @@ def linear_scan_coefficients(path, lam):
 
 
 def test_coefficients_at_equals_linear_scan():
-    """Binary search over the knots gives the linear scan's vectors exactly."""
+    """Binary search over the knots gives the linear scan's vectors exactly,
+    one lambda at a time and as one decreasing array of them."""
     rng = np.random.default_rng(25)
     for stop in (0.0, 0.3):
         data = random_instance(rng, 30, 10)
@@ -477,13 +477,17 @@ def test_coefficients_at_equals_linear_scan():
         queries = lams + [0.5 * (hi + lo) for hi, lo in zip(lams, lams[1:])]
         queries += [path.terminal_lambda, 0.5 * (lams[-1] + path.terminal_lambda)]
         queries += [2 * lams[0]]
-        for lam in queries:
-            assert np.array_equal(
-                path.coefficients_at(lam), linear_scan_coefficients(path, lam)
-            )
+        queries = np.sort(queries)[::-1]
+        rows = path.coefficients_at(queries)
+        assert rows.shape == (queries.size, data.p)
+        for lam, row in zip(queries, rows):
+            scan = linear_scan_coefficients(path, lam)
+            assert np.array_equal(row, scan)
+            assert np.array_equal(path.coefficients_at(lam), scan)
         if path.terminal_lambda > 0:
-            with pytest.raises(ValueError, match="below the computed path end"):
-                path.coefficients_at(0.5 * path.terminal_lambda)
+            for below in (0.5 * path.terminal_lambda, queries * 0.5):
+                with pytest.raises(ValueError, match="below the computed path end"):
+                    path.coefficients_at(below)
 
 
 def run_csv_halves(instance_seed, plan_seed, B=50):
@@ -576,33 +580,39 @@ def test_wide_cv_reads_every_fold_off_the_path(monkeypatch, center):
     base = gen_sparse_instance(7, 0).data
     noise = np.random.default_rng(0).standard_normal((100, 20))
     data = DataSet(X=np.column_stack([base.X[:100], noise]), y=base.y[:100], center=center)
-    worst = []
-    on_grid = lasso.solutions_on_grid
+    paths = []
+    fit = lasso.fit_lasso_path
 
-    def checked(fold, grid):
-        coefs = on_grid(fold, grid)
-        worst.append(max(kkt_residual(fold, c, lam) for lam, c in zip(grid, coefs)))
-        return coefs
+    def recorded(fold, **kwargs):
+        paths.append((fold, fit(fold, **kwargs)))
+        return paths[-1][1]
 
-    monkeypatch.setattr(lasso, "solutions_on_grid", checked)
+    monkeypatch.setattr(lasso, "fit_lasso_path", recorded)
     calls = count_descent_calls(monkeypatch)
     assert cross_validate_lambda(data) > 0.0
-    assert len(worst) == 10 and max(worst) <= KKT_TOL
-    assert calls == []
+    assert calls == [] and len(paths) == 10
+    grid = default_lambda_grid(data)
+    for fold, path in paths:
+        for lam, coef in zip(grid, path.coefficients_at(grid)):
+            assert kkt_residual(fold, coef, lam) <= KKT_TOL
 
 
-def test_solutions_on_grid_reads_the_path_on_tall_data():
+def test_coefficients_at_reads_a_grid_on_tall_data(monkeypatch):
     rng = np.random.default_rng(27)
     data = random_instance(rng, 60, 8)
     grid = np.geomspace(lambda_max(data), 0.01 * lambda_max(data), 12)
+    calls = count_descent_calls(monkeypatch)
     path = fit_lasso_path(data, stop_lambda=grid[-1])
     assert path.completed or path.terminal_lambda <= grid[-1]
-    for lam, coef in zip(grid, solutions_on_grid(data, grid)):
+    coefs = path.coefficients_at(grid)
+    assert calls == []
+    for lam, coef in zip(grid, coefs):
+        assert kkt_residual(data, coef, lam) <= KKT_TOL
         fit = fit_lasso_at(data, lam)
         assert np.max(np.abs(coef - fit.coefficients)) < 1e-6
 
 
-def test_solutions_on_grid_reads_the_path_past_a_tie(monkeypatch):
+def test_coefficients_at_reads_a_grid_past_a_tie(monkeypatch):
     """Columns 0 and 1 are equal: the grid, down to lambda 0, is read off
     one path that keeps the copy out."""
     rng = np.random.default_rng(28)
@@ -611,14 +621,14 @@ def test_solutions_on_grid_reads_the_path_past_a_tie(monkeypatch):
     data = DataSet(X=X, y=x + 0.3 * rng.standard_normal(30))
     grid = np.append(default_lambda_grid(data, points=10), 0.0)
     calls = count_descent_calls(monkeypatch)
-    coefs = solutions_on_grid(data, grid)
+    coefs = fit_lasso_path(data, stop_lambda=grid[-1]).coefficients_at(grid)
     assert coefs.shape == (grid.size, data.p) and not coefs[:, 1].any()
     for lam, coef in zip(grid, coefs):
         assert kkt_residual(data, coef, lam) <= KKT_TOL
     assert calls == []
 
 
-def test_solutions_on_grid_reads_the_path_past_a_dependent_entrant(monkeypatch):
+def test_coefficients_at_reads_a_grid_past_a_dependent_entrant(monkeypatch):
     """Column 2 = column 0 + column 1: the third of them to reach the
     boundary lies in the span of the other two and is kept out, so the path
     completes and no grid lambda needs descent."""
@@ -630,7 +640,7 @@ def test_solutions_on_grid_reads_the_path_past_a_dependent_entrant(monkeypatch):
     path = fit_lasso_path(data)
     assert path.completed and np.count_nonzero(path.terminal_coefs[:3]) == 2
     grid = np.append(default_lambda_grid(data, points=10), 0.0)
-    for lam, coef in zip(grid, solutions_on_grid(data, grid)):
+    for lam, coef in zip(grid, path.coefficients_at(grid)):
         assert kkt_residual(data, coef, lam) <= KKT_TOL
     assert calls == []
 
@@ -654,8 +664,8 @@ def test_cv_on_a_duplicated_column_reads_every_fold_off_the_path(monkeypatch):
 
 @pytest.mark.parametrize("d", [0, 10])
 def test_first_k_path_base_never_selects_a_copy(d):
-    """The k-th entrant is bordered before the path is cut after k knots, so
-    a copy kept out of the path is never among the first k."""
+    """The path stops only once its k-th distinct entrant is bordered, so a
+    copy kept out of the path is never among the first k."""
     data = sparse_with_copy(d)
     plan = draw_complementary_pairs(data.n, 50, 0)
     S = core.run_base_selections(data, plan, base="first-k-path", first_k=5)
@@ -704,15 +714,24 @@ def test_bordered_factor_matches_cholesky_and_flags_dependence():
         assert info == 1 and grown is L
 
 
-def test_first_entrants_lengthen_past_a_drop():
-    """A drop before the k-th entrant: the early-stopped path still names the
-    full path's first k features."""
+def test_first_entrants_lengthen_past_a_drop(monkeypatch):
+    """A drop before the k-th entrant: the early-stopped path runs on past
+    it and still names the full path's first k features, from one path."""
     data = random_instance(np.random.default_rng(20), 30, 20, sparsity=6, noise=1.5)
     full = fit_lasso_path(data)
     k = [e for _, e, _ in full.knots].index("drop") + 1
-    assert len(fit_lasso_path(data, max_steps=k).entry_order()) < k
+    assert len({j for _, _, j in full.knots[:k]}) < k
+    fit, calls = core.fit_lasso_path, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(core, "fit_lasso_path", counted)
     for kk in range(1, len(full.entry_order()) + 1):
-        assert core.first_entrants(data, kk) == select_first_k(full, kk)
+        calls.clear()
+        assert core.first_entrants(data, kk) == full.entry_order()[:kk]
+        assert len(calls) == 1
     with pytest.raises(InsufficientPath):
         core.first_entrants(data, data.p + 1)
 

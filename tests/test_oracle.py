@@ -172,7 +172,7 @@ def test_band_midpoint_gives_proxy_then_direct_entry():
     hits = 0
     for i in range(reps):
         inst = gen_two_proxy_instance(n, 1.0, beta_Z, seed=0, index=i)
-        first2 = fit_lasso_path(inst.data, max_steps=2).entry_order()[:2]
+        first2 = fit_lasso_path(inst.data, first_k=2).entry_order()[:2]
         hits += first2 in ([0, 2], [1, 2])
     assert hits / reps >= 0.80, f"proxy-then-direct in {hits}/{reps} paths"
 
@@ -233,7 +233,7 @@ def test_knot_formulas_match_path_solver():
         # positive most of the time, the event the displayed formula assumes
         y = X @ (0.3 + np.abs(rng.standard_normal(3))) + 0.5 * rng.standard_normal(25)
         data = DataSet(X=X, y=y)
-        path = fit_lasso_path(data, max_steps=2)
+        path = fit_lasso_path(data, first_k=2)
         lam1, winners = first_knot_closed_form(data)
         assert path.knots[0][0] == pytest.approx(lam1, abs=1e-10 * max(1, lam1))
         assert path.knots[0][2] in winners
