@@ -187,21 +187,18 @@ def cmd_run(args) -> int:
         clusters, names, screened = read_clusters_json(args.clusters)
         partition, kept = remap_partition(clusters, names, data.p, screened)
         if screened:
-            data = DataSet(
-                X=data.X[:, kept],
-                y=data.y,
-                feature_names=(
-                    tuple(data.feature_names[j] for j in kept)
-                    if data.feature_names
-                    else None
-                ),
-            )
+            data = DataSet(X=data.X[:, kept], y=data.y)
         column_ids = kept
     elif args.auto_cluster:
         D = correlation_distance_matrix(data)
         partition = single_linkage_clusters(D, args.cutoff)
     else:
         partition = ClusterPartition.singletons(data.p)
+    # the same checks as threshold_select and select_top_s, before the solves
+    if args.tau is not None and not 0.0 < args.tau <= 1.0:
+        raise ValueError("tau must lie in (0, 1]")
+    if args.top is not None and not 1 <= args.top <= partition.K:
+        raise ValueError(f"s must lie in 1..{partition.K}")
 
     result = run_css(
         data,

@@ -24,7 +24,7 @@ from .lasso import (
 from .subsampling import SubsamplePlan, draw_complementary_pairs, restrict
 
 SCHEMES = ("weighted", "simple", "sparse")
-BASES = ("fixed-lambda-set", "first-k-path", "cv-lambda-per-half")
+BASES = ("fixed-lambda-set", "first-k-path")
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,6 @@ class ClusterPartition:
     def p(self) -> int:
         return sum(len(c) for c in self.clusters)
 
-    def cluster_of(self) -> np.ndarray:
-        """Feature index -> cluster index."""
-        out = np.empty(self.p, dtype=int)
-        for k, c in enumerate(self.clusters):
-            out[list(c)] = k
-        return out
-
 
 class HalfSampleFailure(RuntimeError):
     """A solver failed on one half sample."""
@@ -95,6 +88,8 @@ def map_halves(data: DataSet, halves, fit, threads: int) -> list:
     serially or on a pool of `threads` threads.  A failure inside `fit` is
     re-raised as HalfSampleFailure naming the half's label (pair, tag).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
     def solve(item):
         label, rows = item
@@ -128,19 +123,17 @@ def run_base_selections(
     lambdas=None,
     base: str = "fixed-lambda-set",
     first_k: int | None = None,
-    cv_folds: int = 10,
-    seed: int = 0,
     threads: int = 1,
 ) -> np.ndarray:
-    """Run the base selector on all 2B half samples.
+    """Run the base selector on all 2B half samples of `plan`.
 
     Returns the (2B, p) boolean selection matrix S: row 2b is half A of pair
     b, row 2b + 1 its complement Ac, and S[i, j] says whether half i
-    selected feature j.
+    selected feature j.  With summarize_records this is the route for a
+    hand-built plan or the first-k base, which run_css does not take.
 
     base "fixed-lambda-set": union of lasso supports over the given lambdas.
     base "first-k-path": the first `first_k` features to enter the path.
-    base "cv-lambda-per-half": support at a per-half cross-validated lambda.
     """
     if base not in BASES:
         raise ValueError(f"base must be one of {BASES}, got {base!r}")
@@ -154,15 +147,9 @@ def run_base_selections(
     def fit(label, half):
         if base == "fixed-lambda-set":
             return fixed_lambda_supports(half, lambdas).any(axis=0)
-        if base == "first-k-path":
-            row = np.zeros(half.p, dtype=bool)
-            row[first_entrants(half, first_k)] = True
-            return row
-        b, tag = label
-        lam = cross_validate_lambda(
-            half, folds=cv_folds, seed=seed, stream=1 + 2 * b + (tag == "Ac")
-        )
-        return fixed_lambda_supports(half, (lam,))[0]
+        row = np.zeros(half.p, dtype=bool)
+        row[first_entrants(half, first_k)] = True
+        return row
 
     return np.array(map_halves(data, plan.halves(), fit, threads))
 
@@ -310,19 +297,17 @@ def run_css(
     data: DataSet,
     partition: ClusterPartition,
     scheme: str,
-    plan: SubsamplePlan | None = None,
     B: int = 100,
     seed: int = 0,
     lambdas=None,
-    base: str = "fixed-lambda-set",
-    first_k: int | None = None,
-    cv_folds: int = 10,
     threads: int = 1,
 ) -> CssResult:
-    """One full cluster stability selection run.
+    """One full cluster stability selection run with the fixed-lambda base.
 
-    With the default base and no lambdas given, a single lambda is chosen by
-    cross-validation on the full data before subsampling.
+    The plan is draw_complementary_pairs(n, B, seed).  With no lambdas
+    given, a single lambda is chosen by 10-fold cross-validation on the full
+    data before subsampling.  A hand-built plan or the first-k base goes
+    through run_base_selections and summarize_records instead.
     """
     if partition.p != data.p:
         raise ValueError(
@@ -330,24 +315,14 @@ def run_css(
         )
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if plan is None:
-        plan = draw_complementary_pairs(data.n, B, seed)
-    if base == "fixed-lambda-set" and lambdas is None:
-        lambdas = (cross_validate_lambda(data, folds=cv_folds, seed=seed),)
-    S = run_base_selections(
-        data,
-        plan,
-        lambdas=lambdas,
-        base=base,
-        first_k=first_k,
-        cv_folds=cv_folds,
-        seed=seed,
-        threads=threads,
-    )
+    plan = draw_complementary_pairs(data.n, B, seed)
+    if lambdas is None:
+        lambdas = (cross_validate_lambda(data, seed=seed),)
+    S = run_base_selections(data, plan, lambdas=lambdas, threads=threads)
     return summarize_records(
         data, partition, S, scheme,
-        base=base,
-        lambdas=None if lambdas is None else tuple(float(l) for l in lambdas),
+        base="fixed-lambda-set",
+        lambdas=tuple(float(l) for l in lambdas),
         seed=seed,
     )
 

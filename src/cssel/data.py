@@ -13,16 +13,15 @@ import numpy as np
 class DataSet:
     """A response vector and feature matrix.
 
-    X has one row per observation and one column per feature; y matches the
-    rows.  `center` asks downstream solvers to subtract column means from X
-    and the mean from y before scaling (for real data with nonzero means);
-    the default leaves the data untouched apart from the solvers' internal
-    L2 column scaling.
+    X has one row per observation and one column per feature, known by its
+    0-based index; y matches the rows.  `center` asks downstream solvers to
+    subtract column means from X and the mean from y before scaling (for
+    real data with nonzero means); the default leaves the data untouched
+    apart from the solvers' internal L2 column scaling.
     """
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: tuple[str, ...] | None = None
     center: bool = False
 
     def __post_init__(self):
@@ -43,11 +42,6 @@ class DataSet:
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            if len(names) != p:
-                raise ValueError(f"{len(names)} feature names for {p} columns")
-            object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         self.X.setflags(write=False)

@@ -76,13 +76,13 @@ def read_vector_csv(path) -> tuple[np.ndarray, str | None]:
 
 
 def load_dataset(x_path, y_path) -> DataSet:
-    X, names = read_matrix_csv(x_path)
+    X, _ = read_matrix_csv(x_path)
     y, _ = read_vector_csv(y_path)
     if y.shape[0] != X.shape[0]:
         raise FileFormatError(
             f"{y_path}: {y.shape[0]} rows but {x_path} has {X.shape[0]}"
         )
-    return DataSet(X=X, y=y, feature_names=tuple(names) if names else None)
+    return DataSet(X=X, y=y)
 
 
 def read_clusters_json(path) -> tuple[list[list[int]], list[str] | None, list[int]]:
@@ -172,13 +172,14 @@ def remap_partition(
 
 
 def write_css_result(
-    out_dir, result: CssResult, selection=None, column_ids=None, extra=None
+    out_dir, result: CssResult, selection=None, column_ids=None
 ) -> None:
     """Write css_result.json and css_result.csv into out_dir.
 
     column_ids maps the run's reduced feature indexes back to original data
-    columns when screening dropped some; selection is an optional
+    columns when screening dropped some ("columns"); selection is an optional
     JSON-serializable block describing the thresholded or ranked choice.
+    The JSON holds result.to_json_dict() plus these two and nothing else.
     """
     os.makedirs(out_dir, exist_ok=True)
     ids = list(range(result.partition.p)) if column_ids is None else list(column_ids)
@@ -191,8 +192,6 @@ def write_css_result(
         [int(ids[j]) for j in kept] for kept in doc["kept_features"]
     ]
     doc["selection"] = selection
-    if extra:
-        doc.update(extra)
     with open(os.path.join(out_dir, "css_result.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -72,18 +72,21 @@ def lambda_max(data: DataSet) -> float:
     return float(np.max(np.abs(s.U.T @ s.y)) / data.n)
 
 
-def kkt_residual(data: DataSet, coefficients: np.ndarray, lam: float) -> float:
+def kkt_residual(data: DataSet, coefficients: np.ndarray, lam) -> float:
     """Max violation of the subgradient conditions at `coefficients`.
 
     For active j the stationarity gap |X_j^T r / (n||X_j||) - lam*sign(b_j)|,
     for inactive j the excess max(0, |X_j^T r| / (n||X_j||) - lam).
+    coefficients is one vector at lam, or one row per lambda of an array lam,
+    for which the data are scaled once and the largest violation returned.
     """
     U, y, _, _, norms, _ = center_and_scale(data.X, data.y, data.center)
-    b = np.asarray(coefficients, dtype=float)
-    c = U.T @ (y - U @ (b * norms)) / data.n
+    b = np.atleast_2d(np.asarray(coefficients, dtype=float))
+    lams = np.asarray(lam, dtype=float).reshape(-1, 1)
+    c = (U.T @ (y[:, None] - U @ (b * norms).T)).T / data.n
     active = b != 0.0
-    viol = np.maximum(np.abs(c) - lam, 0.0)
-    viol[active] = np.abs(c[active] - lam * np.sign(b[active]))
+    viol = np.maximum(np.abs(c) - lams, 0.0)
+    viol[active] = np.abs(c - lams * np.sign(b))[active]
     return float(viol.max()) if viol.size else 0.0
 
 
@@ -445,12 +448,12 @@ def fit_lasso_at(
     )
 
 
-def default_lambda_grid(data: DataSet, points: int = 100, min_ratio: float = 1e-3) -> np.ndarray:
-    """Log-spaced grid from lambda_max down to lambda_max * min_ratio."""
+def default_lambda_grid(data: DataSet, points: int = 100) -> np.ndarray:
+    """Log-spaced grid from lambda_max down to lambda_max * 1e-3."""
     lam1 = lambda_max(data)
     if lam1 == 0.0:
         return np.array([0.0])
-    return np.geomspace(lam1, lam1 * min_ratio, points)
+    return np.geomspace(lam1, lam1 * 1e-3, points)
 
 
 def fixed_lambda_supports(data: DataSet, lambdas) -> np.ndarray:
@@ -458,16 +461,15 @@ def fixed_lambda_supports(data: DataSet, lambdas) -> np.ndarray:
 
     The one route for a support at a given lambda: the distinct lambdas are
     read in one call off one homotopy path truncated at the smallest, which
-    it always reaches, and a solution whose KKT residual exceeds KKT_TOL
-    raises ConvergenceFailure.  So a feature the path wrongly kept out, as a
-    dependent entrant, fails loudly.
+    it always reaches, and one kkt_residual call over all the rows raises
+    ConvergenceFailure when the largest residual exceeds KKT_TOL.  So a
+    feature the path wrongly kept out, as a dependent entrant, fails loudly.
     """
     grid = np.unique(lambdas)[::-1]
     coefs = fit_lasso_path(data, stop_lambda=float(grid[-1])).coefficients_at(grid)
-    for lam, coef in zip(grid, coefs):
-        resid = kkt_residual(data, coef, lam)
-        if resid > KKT_TOL:
-            raise ConvergenceFailure(resid, None)
+    resid = kkt_residual(data, coefs, grid)
+    if resid > KKT_TOL:
+        raise ConvergenceFailure(resid, None)
     return coefs != 0.0
 
 
@@ -476,15 +478,13 @@ def cross_validate_lambda(
     folds: int = 10,
     grid: np.ndarray | None = None,
     seed: int = 0,
-    stream: int = 0,
 ) -> float:
     """Pick the grid lambda with the lowest held-out squared error.
 
-    Rows are shuffled once (seeded), split into `folds` chunks, and each
-    training fold, cut by restrict, is solved at every grid point by one
-    homotopy path read in one call.  Ties in the pooled held-out error break
-    toward the larger lambda.  `stream` separates shuffle streams when
-    several CV runs share one seed.
+    Rows are shuffled once, by the (seed, DOMAIN_CV) stream, split into
+    `folds` chunks, and each training fold, cut by restrict, is solved at
+    every grid point by one homotopy path read in one call.  Ties in the
+    pooled held-out error break toward the larger lambda.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -500,7 +500,7 @@ def cross_validate_lambda(
     if grid[-1] < 0:
         raise ValueError("negative lambda in grid")
 
-    perm = stream_rng(seed, DOMAIN_CV, stream).permutation(data.n)
+    perm = stream_rng(seed, DOMAIN_CV).permutation(data.n)
     chunks = np.array_split(perm, folds)
     sq_err = np.zeros(grid.size)
     for chunk in chunks:

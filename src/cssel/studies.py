@@ -324,24 +324,15 @@ def _ge(a: float | None, b: float | None) -> bool:
     return a is not None and b is not None and a >= b
 
 
-def _run_two_proxy_study(
-    reps,
-    seed,
-    threads=1,
-    log=None,
-    n: int = 5000,
-    sigma_eps_sq: float = 1.0,
-    tau: float = 0.8,
-    eval_reps: int = 200,
-    pilot_reps: int = 50,
-) -> StudyResult:
+def _run_two_proxy_study(reps, seed, threads=1, log=None) -> StudyResult:
+    # The design, and the error-bound check's threshold and its evaluated and
+    # pilot replications; summary.json records each.
+    n, sigma_eps_sq, tau = 5000, 1.0, 0.8
     band = vote_splitting_interval(n, sigma_eps_sq)
-    if band is None:
-        raise ValueError(f"vote-splitting band empty at n={n}")
     beta_Z = 0.5 * (band[0] + band[1])
     partition = ClusterPartition(clusters=((0, 1), (2,)))
-    eval_reps = min(eval_reps, reps)
-    pilot_reps = min(pilot_reps, reps)
+    eval_reps = min(200, reps)
+    pilot_reps = min(50, reps)
 
     pair_counts: dict = {}
     props_sum = np.zeros(3)

@@ -87,9 +87,4 @@ def restrict(data: DataSet, indices) -> DataSet:
         raise ValueError("empty row set")
     if rows[0] < 0 or rows[-1] >= data.n:
         raise ValueError(f"row index out of range for n={data.n}")
-    return DataSet(
-        X=data.X[rows],
-        y=data.y[rows],
-        feature_names=data.feature_names,
-        center=data.center,
-    )
+    return DataSet(X=data.X[rows], y=data.y[rows], center=data.center)

@@ -348,7 +348,7 @@ def test_11_reductions_to_plain_stability_selection():
         lam = 0.2
         res = run_css(
             data, ClusterPartition.singletons(p), scheme="simple",
-            plan=plan, seed=seed, lambdas=(lam,),
+            B=20, seed=seed, lambdas=(lam,),
         )
         ss = stability_selection_ss(data, plan, (lam,))
         assert np.array_equal(res.cluster_props, ss)

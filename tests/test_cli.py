@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cssel import core, lasso
+from cssel import cli, core, lasso
 from cssel.cli import EXIT_INVALID, EXIT_OK, EXIT_SOLVER, build_parser, main
 from cssel.dataio import load_dataset
 from cssel.lasso import ConvergenceFailure, lambda_max
@@ -156,6 +156,45 @@ def test_exit_code_2_on_invalid_input(tmp_path, capsys):
         )
         == EXIT_INVALID
     )
+
+
+def test_threads_below_one_exit_2(tmp_path, capsys):
+    xp, yp, _, _ = write_xy(tmp_path, seed=4)
+    for threads in ("0", "-2"):
+        code = run_cli(
+            "run", "--x", xp, "--y", yp, "--out", tmp_path / "o",
+            "--lambda", "0.2", "--B", "2", "--threads", threads,
+        )
+        assert code == EXIT_INVALID
+        assert "threads must be at least 1" in capsys.readouterr().err
+    code = run_cli(
+        "simulate", "--study", "theorem31", "--reps", "1", "--threads", "-1",
+        "--out", tmp_path / "sim",
+    )
+    assert code == EXIT_INVALID
+    assert "threads must be at least 1" in capsys.readouterr().err
+
+
+def test_tau_and_top_are_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_css called with an invalid --tau or --top")
+
+    monkeypatch.setattr(cli, "run_css", no_run)
+    xp, yp, _, _ = write_xy(tmp_path, seed=4, p=4)
+    cj = tmp_path / "clusters.json"
+    cj.write_text(json.dumps({"clusters": [[0, 1], [3]], "screened_columns": [2]}))
+    for extra, message in (
+        (("--tau", "0"), "tau must lie in (0, 1]"),
+        (("--tau", "1.5"), "tau must lie in (0, 1]"),
+        (("--top", "0"), "s must lie in 1..4"),
+        (("--top", "1000"), "s must lie in 1..4"),
+        (("--top", "3", "--clusters", cj), "s must lie in 1..2"),  # K, not p
+    ):
+        code = run_cli(
+            "run", "--x", xp, "--y", yp, "--out", tmp_path / "o", "--B", "2", *extra
+        )
+        assert code == EXIT_INVALID
+        assert message in capsys.readouterr().err
 
 
 def test_exit_code_3_on_solver_failure(tmp_path, capsys, monkeypatch):

@@ -77,7 +77,6 @@ def test_load_dataset_checks_row_counts(tmp_path):
     y = write(tmp_path / "y.csv", "y\n1\n2\n3\n")
     data = load_dataset(x, y)
     assert data.n == 3 and data.p == 2
-    assert data.feature_names == ("a", "b")
     short = write(tmp_path / "y2.csv", "y\n1\n2\n")
     with pytest.raises(FileFormatError, match="2 rows but .* has 3"):
         load_dataset(x, short)
@@ -142,17 +141,14 @@ def test_css_result_files_translate_reduced_indexes(tmp_path):
         lambdas=(0.2,), seed=3,
     )
     out = tmp_path / "run"
-    write_css_result(
-        out, res, selection={"tau": 0.5}, column_ids=[0, 2, 4],
-        extra={"source": "unit"},
-    )
+    write_css_result(out, res, selection={"tau": 0.5}, column_ids=[0, 2, 4])
     with open(out / "css_result.json") as fh:
         doc = json.load(fh)
     assert doc["columns"] == [0, 2, 4]
     assert doc["clusters"] == [[0, 2], [4]]
     assert doc["kept_features"] == [[0], [4]]
     assert doc["selection"] == {"tau": 0.5}
-    assert doc["source"] == "unit"
+    assert doc["base"] == "fixed-lambda-set"
     assert doc["feature_props"] == [1.0, 0.0, 0.5]
     with open(out / "css_result.csv", newline="") as fh:
         rows = list(csv.reader(fh))

@@ -686,6 +686,34 @@ def test_fixed_lambda_supports_ignore_order_and_repeats():
         assert set(np.flatnonzero(row).tolist()) == fit_lasso_at(data, lam).support
 
 
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_fixed_lambda_supports_certify_every_row(monkeypatch, bad):
+    """One kkt_residual call over rows and their lambdas returns the largest
+    per-row violation, so one bad row among several lambdas fails."""
+    rng = np.random.default_rng(29)
+    data = random_instance(rng, 50, 10, sparsity=5)
+    grid = np.array([0.5, 0.1, 0.02]) * lambda_max(data)
+    rows = fit_lasso_path(data).coefficients_at(grid)
+    assert kkt_residual(data, rows, grid) <= KKT_TOL
+    bent = rows.copy()
+    bent[bad, np.argmax(np.abs(bent[bad]))] *= 1.01
+    worst = max(kkt_violation_oracle(data.X, data.y, b, l) for b, l in zip(bent, grid))
+    assert worst > KKT_TOL
+    assert kkt_residual(data, bent, grid) == pytest.approx(worst, rel=1e-9)
+
+    read = LassoPath.coefficients_at
+
+    def bent_read(path, lam):
+        out = read(path, lam)
+        out[bad, np.argmax(np.abs(out[bad]))] *= 1.01
+        return out
+
+    monkeypatch.setattr(LassoPath, "coefficients_at", bent_read)
+    with pytest.raises(ConvergenceFailure) as info:
+        fixed_lambda_supports(data, grid)
+    assert info.value.residual == pytest.approx(worst, rel=1e-9)
+
+
 def test_bordered_factor_matches_cholesky_and_flags_dependence():
     """Bordering with stored Gram columns, one entrant at a time, equals a
     fresh factorization; a column in the span of the earlier ones has a
