@@ -179,6 +179,8 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {args.threads}")
     data = load_dataset(args.x, args.y)
     seed = _resolve_seed(args)
     column_ids = list(range(data.p))
@@ -240,6 +242,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {args.threads}")
     seed = _resolve_seed(args)
     result = run_study(
         args.study,

@@ -84,4 +84,4 @@ def center_and_scale(X: np.ndarray, y: np.ndarray, center: bool) -> Scaling:
     norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     zero = norms == 0.0
     U = X / np.where(zero, 1.0, norms)
-    return Scaling(U, y, x_mean, y_mean, norms, np.flatnonzero(zero))
+    return Scaling(U, y, x_mean, y_mean, norms, zero.nonzero()[0])

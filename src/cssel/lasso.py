@@ -23,6 +23,7 @@ fit_lasso_at, descent from zero, is the independent check on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +37,7 @@ KKT_TOL = 1e-8
 CD_TOL = 1e-10
 TIE_REL = 1e-12
 PIVOT_REL = 1e-10
+_BOTH_SIGNS = np.array([[1.0], [-1.0]])  # the entry roots' sign rows, +1 first
 
 
 class ConvergenceFailure(Exception):
@@ -118,6 +120,10 @@ class LassoPath:
     def lambda_1(self) -> float:
         return self.knots[0][0] if self.knots else 0.0
 
+    @cached_property
+    def _knot_lambdas(self) -> np.ndarray:
+        return np.array([k[0] for k in self.knots])
+
     def entry_order(self) -> list[int]:
         """Features by first entry, drops and re-entries ignored."""
         seen: list[int] = []
@@ -144,7 +150,7 @@ class LassoPath:
         if self.knots:
             # A query below the first knot lies on the segment from knot i
             # down to the next knot, or down to the path end after the last.
-            highs = np.array([k[0] for k in self.knots])
+            highs = self._knot_lambdas
             i = np.searchsorted(-highs, -queries) - 1
             on = np.flatnonzero(i >= 0)
             q, i = queries[on], i[on]
@@ -213,7 +219,8 @@ def fit_lasso_path(
     U, y, _, _, norms, _ = center_and_scale(data.X, data.y, data.center)
     n, p = U.shape
     c0 = U.T @ y
-    mu1 = float(np.max(np.abs(c0)))
+    abs_c0 = np.abs(c0)
+    mu1 = float(abs_c0.max())
     stop_mu = stop_lambda * n
 
     if mu1 <= stop_mu:
@@ -232,19 +239,18 @@ def fit_lasso_path(
     # U^T u_j and row i of cs is [c0_j, sign of beta_j] for j = act[i]; L
     # factors the active Gram G[act[:k], :k] and is None when a drop left it
     # to be refactored.  candidates are the features neither active nor
-    # kept out; entered marks every feature that has ever entered.
+    # kept out; entered holds every feature that has ever entered.
     act = np.empty(min(n, p), dtype=np.intp)
     G = np.empty((p, act.size), order="F")
     cs = np.empty((act.size, 2))
     k, L = 0, np.zeros((0, 0), order="F")
-    candidates, entered = np.ones(p, dtype=bool), np.zeros(p, dtype=bool)
+    candidates, entered = np.ones(p, dtype=bool), set()
     # The features tied at the first knot are the first entrants.
-    top = np.flatnonzero(np.abs(c0) >= mu1 * (1.0 - TIE_REL))[:max_active]
+    top = (abs_c0 >= mu1 * (1.0 - TIE_REL)).nonzero()[0][:max_active]
     entering = [(j, np.sign(c0[j])) for j in top]
     mu_next, row = mu1, (act[:0].copy(), c0[:0])
     # fresh features entered at mu_cur; dropped left at mu_cur, else -1
     mu_cur, fresh, dropped, terminal_lambda = mu1, 0, -1, None
-    both_signs = np.array([[1.0], [-1.0]])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
@@ -257,19 +263,19 @@ def fit_lasso_path(
             # on from its previous knot.
             for j, sign in entering:
                 candidates[j] = False
-                G[:, k] = U.T @ U[:, j]
+                np.matmul(U.T, U[:, j], out=G[:, k])
                 L, dependent = _border(L, G[act[:k], k], G[j, k])
                 if not dependent:
                     act[k], cs[k] = j, (c0[j], sign)
                     k += 1
                     knots.append((mu_next / n, "enter", int(j)))
                     rows.append(row)
-                    entered[j] = True
+                    entered.add(j)
                     if mu_cur != mu_next:
                         mu_cur, fresh, dropped = mu_next, 0, -1
                     fresh += 1
             entering = []
-            if first_k is not None and np.count_nonzero(entered) >= first_k:
+            if first_k is not None and len(entered) >= first_k:
                 break
             A = act[:k]
             vd, _ = dpotrs(L, cs[:k], lower=1)
@@ -290,7 +296,7 @@ def fit_lasso_path(
             # takes the first maximum, so on equal roots + wins, then the
             # lowest index.  With max_active features active, a is zero up to
             # rounding and no feature is a candidate.
-            denom = both_signs - g
+            denom = _BOTH_SIGNS - g
             roots = a / denom
             valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper) & candidates
             valid &= k < max_active
@@ -299,7 +305,7 @@ def fit_lasso_path(
             roots = np.where(valid, roots, -np.inf)
             entry = int(roots.argmax())
             mu_entry = float(roots.flat[entry])
-            group = [(entry % p, both_signs[entry // p, 0])]
+            group = [(entry % p, _BOTH_SIGNS[entry // p, 0])]
             # The exact tie test runs only when a second root is near the top.
             near = np.count_nonzero(roots >= mu_entry * (1.0 - 2 * TIE_REL))
             if mu_entry > -np.inf and near > 1:
@@ -346,7 +352,7 @@ def fit_lasso_path(
 
     coefs = np.zeros((len(rows), p))
     cols = np.concatenate([A for A, _ in rows])
-    at = np.repeat(np.arange(len(rows)), [A.size for A, _ in rows])
+    at = np.arange(len(rows)).repeat([A.size for A, _ in rows])
     coefs[at, cols] = np.concatenate([b for _, b in rows]) / norms[cols]
     return LassoPath(
         knots=tuple(knots), knot_coefs=coefs[: len(knots)],

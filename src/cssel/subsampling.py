@@ -22,7 +22,7 @@ class SubsamplePlan:
 
     pairs[b, 0] holds the rows of half A of pair b and pairs[b, 1] those of
     its complement Ac, m = n // 2 rows each.  Any integer array-like of that
-    shape is accepted and copied.
+    shape is accepted; it is copied unless it is a read-only intp array.
     """
 
     n: int
@@ -30,23 +30,22 @@ class SubsamplePlan:
     pairs: np.ndarray
 
     def __post_init__(self):
-        pairs = np.array(self.pairs)
+        pairs = np.asarray(self.pairs)
         m = self.n // 2
         if pairs.shape != (self.B, 2, m):
             raise ValueError(f"need pairs of shape ({self.B}, 2, {m}), got {pairs.shape}")
         if not np.issubdtype(pairs.dtype, np.integer):
             raise ValueError("row indexes must be integers")
-        pairs = pairs.astype(np.intp, copy=False)
-        bad = ((pairs < 0) | (pairs >= self.n)).any(axis=(1, 2))
-        if bad.any():
+        pairs = pairs.astype(np.intp, copy=pairs.flags.writeable)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n):
+            bad = ((pairs < 0) | (pairs >= self.n)).any(axis=(1, 2))
             raise ValueError(f"pair {np.argmax(bad)}: row index out of range")
-        # row r of pair b counts in bin b * n + r; 2m rows without a repeat
-        # use every row when n = 2m is even
-        flat = (pairs + self.n * np.arange(self.B)[:, None, None]).ravel()
-        uses = np.bincount(flat, minlength=self.B * self.n).reshape(self.B, self.n)
-        bad = (uses > 1).any(axis=1)
-        if bad.any():
-            raise ValueError(f"pair {np.argmax(bad)}: halves overlap or repeat a row")
+        # a pair without a repeat marks 2m distinct rows, all n when n is even
+        for b, pair in enumerate(pairs):
+            seen = np.zeros(self.n, dtype=bool)
+            seen[pair] = True
+            if np.count_nonzero(seen) < 2 * m:
+                raise ValueError(f"pair {b}: halves overlap or repeat a row")
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
 
@@ -63,16 +62,23 @@ class SubsamplePlan:
 
 
 def draw_complementary_pairs(n: int, B: int, seed: int) -> SubsamplePlan:
-    """Draw B independent complementary pairs of row sets."""
+    """Draw B independent complementary pairs of row sets: the first m = n // 2
+    rows of the (seed, b) permutation form half A of pair b, the next m its Ac.
+    Each half is read off a row mask, so it comes out ascending without a sort."""
     if n < 4:
         raise ValueError("need n >= 4 so both halves support a fit")
     if B < 1:
         raise ValueError("need at least one pair")
     m = n // 2
-    perms = np.array(
-        [stream_rng(seed, DOMAIN_SUBSAMPLE, b).permutation(n)[: 2 * m] for b in range(B)]
-    )
-    return SubsamplePlan(n=n, B=B, pairs=np.sort(perms.reshape(B, 2, m), axis=2))
+    in_half = np.zeros((B, 2, n), dtype=bool)
+    for b in range(B):
+        perm = stream_rng(seed, DOMAIN_SUBSAMPLE, b).permutation(n)
+        in_half[b, 0, perm[:m]] = in_half[b, 1, perm[m : 2 * m]] = True
+    # the rows of half h of pair b sit at flat indexes (2b + h) * n + row
+    hits = np.flatnonzero(in_half).reshape(2 * B, m)
+    hits -= np.arange(0, 2 * B * n, n)[:, None]
+    hits.setflags(write=False)
+    return SubsamplePlan(n=n, B=B, pairs=hits.reshape(B, 2, m))
 
 
 def draw_half_samples(n: int, B: int, seed: int) -> np.ndarray:
@@ -81,10 +87,13 @@ def draw_half_samples(n: int, B: int, seed: int) -> np.ndarray:
 
 
 def restrict(data: DataSet, indices) -> DataSet:
-    """The sub-DataSet on the given rows, in ascending row order."""
-    rows = np.sort(np.asarray(indices, dtype=np.intp))
+    """The sub-DataSet on the given rows in ascending order (rows already strictly
+    increasing are not re-sorted), its X cut once into column-major order."""
+    rows = np.asarray(indices, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("empty row set")
+    if not (rows[1:] > rows[:-1]).all():
+        rows = np.sort(rows)
     if rows[0] < 0 or rows[-1] >= data.n:
         raise ValueError(f"row index out of range for n={data.n}")
-    return DataSet(X=data.X[rows], y=data.y[rows], center=data.center)
+    return DataSet(X=data.X.T.take(rows, axis=1).T, y=data.y.take(rows), center=data.center)

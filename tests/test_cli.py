@@ -158,7 +158,12 @@ def test_exit_code_2_on_invalid_input(tmp_path, capsys):
     )
 
 
-def test_threads_below_one_exit_2(tmp_path, capsys):
+def test_threads_below_one_exit_2(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with --threads below 1")
+
+    monkeypatch.setattr(cli, "load_dataset", no_work)
+    monkeypatch.setattr(cli, "run_study", no_work)
     xp, yp, _, _ = write_xy(tmp_path, seed=4)
     for threads in ("0", "-2"):
         code = run_cli(

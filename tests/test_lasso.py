@@ -773,6 +773,25 @@ def two_proxy_half(pair, tag, center=False):
     return DataSet(X=half.X, y=half.y, center=center)
 
 
+def test_half_layout_leaves_orders_and_supports_unchanged():
+    """restrict cuts halves column-major.  A C-order copy of the same half,
+    a two-proxy one and a sparse one, gives the same first-k entry order
+    and the same fixed-lambda supports; their floats may differ in the last
+    bits, so only orders and supports are compared."""
+    sparse = gen_sparse_instance(0, 0).data
+    sparse_rows = draw_complementary_pairs(sparse.n, 1, 0).pairs[0, 0]
+    for half, k in ((two_proxy_half(0, "A"), 2), (restrict(sparse, sparse_rows), 10)):
+        copy = DataSet(X=np.ascontiguousarray(half.X), y=half.y, center=half.center)
+        assert half.X.flags.f_contiguous and copy.X.flags.c_contiguous
+        order = fit_lasso_path(half, first_k=k).entry_order()
+        assert len(order) >= k
+        assert fit_lasso_path(copy, first_k=k).entry_order() == order
+        grid = default_lambda_grid(half, points=10)
+        supports = fixed_lambda_supports(half, grid)
+        assert supports.any()
+        assert np.array_equal(fixed_lambda_supports(copy, grid), supports)
+
+
 @pytest.mark.parametrize("center", [False, True])
 def test_tall_two_proxy_half_path_is_exact(center):
     """n=2500, p=3 with two nearly collinear proxies: every knot passes the
