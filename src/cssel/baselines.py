@@ -103,18 +103,19 @@ def marginal_prototypes(data: DataSet, partition: ClusterPartition) -> Prototype
 
 
 def protolasso(
-    data: DataSet, partition: ClusterPartition
+    data: DataSet, partition: ClusterPartition, first_k: int | None = None
 ) -> tuple[LassoPath, PrototypeMap]:
     """Lasso path on one prototype column per cluster.
 
     Path feature indices refer to clusters (position in the prototype list),
     not to original columns; translate through the returned PrototypeMap.
+    first_k stops the path as in fit_lasso_path.
     """
     proto = marginal_prototypes(data, partition)
     reduced = DataSet(
         X=data.X[:, list(proto.prototypes)], y=data.y, center=data.center
     )
-    return fit_lasso_path(reduced), proto
+    return fit_lasso_path(reduced, first_k=first_k), proto
 
 
 def average_representatives(data: DataSet, partition: ClusterPartition) -> np.ndarray:
@@ -125,12 +126,15 @@ def average_representatives(data: DataSet, partition: ClusterPartition) -> np.nd
     return reps
 
 
-def cluster_rep_lasso(data: DataSet, partition: ClusterPartition) -> LassoPath:
+def cluster_rep_lasso(
+    data: DataSet, partition: ClusterPartition, first_k: int | None = None
+) -> LassoPath:
     """Lasso path on simple-average cluster representatives.
 
-    Path feature indices refer to clusters in partition order.
+    Path feature indices refer to clusters in partition order; first_k stops
+    the path as in fit_lasso_path.
     """
     reduced = DataSet(
         X=average_representatives(data, partition), y=data.y, center=data.center
     )
-    return fit_lasso_path(reduced)
+    return fit_lasso_path(reduced, first_k=first_k)

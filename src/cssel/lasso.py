@@ -249,8 +249,9 @@ def fit_lasso_path(
     top = (abs_c0 >= mu1 * (1.0 - TIE_REL)).nonzero()[0][:max_active]
     entering = [(j, np.sign(c0[j])) for j in top]
     mu_next, row = mu1, (act[:0].copy(), c0[:0])
-    # fresh features entered at mu_cur; dropped left at mu_cur, else -1
-    mu_cur, fresh, dropped, terminal_lambda = mu1, 0, -1, None
+    # fresh features entered at mu_cur; dropped left at mu_cur, else -1, with
+    # the sign in row dropped_row of _BOTH_SIGNS
+    mu_cur, fresh, dropped, dropped_row, terminal_lambda = mu1, 0, -1, 0, None
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
@@ -286,11 +287,12 @@ def fit_lasso_path(
             Gvd = G[:, :k] @ vd
             a, g = c0 - Gvd[:, 0], Gvd[:, 1]
             upper = mu_cur * (1.0 - TIE_REL)
-            # A just-dropped feature touches the boundary exactly at its drop
-            # knot, and a just-entered one has a zero coefficient exactly at
-            # its entry knot, so each has a spurious root at mu_cur; a genuine
-            # event further down the same segment must still be kept.
-            spurious_cut = mu_cur * (1.0 - 1e-9)
+            # On one segment a correlation a_j + mu*g_j, the boundaries +-mu
+            # and an active coefficient are linear in mu, so each root is met
+            # at most once.  A feature that dropped at mu_cur with sign s
+            # meets its s boundary there, and a fresh entrant's coefficient
+            # is zero there: wherever rounding puts those roots, they are
+            # masked outright.
 
             # Entry roots of a_j + mu*g_j = sgn*mu, sign +1 in row 0: argmax
             # takes the first maximum, so on equal roots + wins, then the
@@ -301,7 +303,7 @@ def fit_lasso_path(
             valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper) & candidates
             valid &= k < max_active
             if dropped >= 0:
-                valid[:, dropped] &= roots[:, dropped] < spurious_cut
+                valid[dropped_row, dropped] = False
             roots = np.where(valid, roots, -np.inf)
             entry = int(roots.argmax())
             mu_entry = float(roots.flat[entry])
@@ -316,8 +318,7 @@ def fit_lasso_path(
             # Drop roots of the active coefficients, first maximum in entry order.
             roots = v / d
             valid = (roots > 0.0) & (roots < upper)
-            for i in range(k - fresh, k):
-                valid[i] &= roots[i] < spurious_cut
+            valid[k - fresh : k] = False
             roots = np.where(valid, roots, -np.inf)
             drop = int(roots.argmax())
             mu_drop = float(roots[drop])
@@ -336,6 +337,7 @@ def fit_lasso_path(
             # case).
             if mu_drop >= mu_entry:
                 j_ev = int(A[drop])
+                dropped_row = 0 if cs[drop, 1] > 0 else 1
                 row[1][drop] = 0.0
                 rows.append(row)
                 knots.append((mu_next / n, "drop", j_ev))

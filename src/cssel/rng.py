@@ -37,13 +37,40 @@ def stream_rng(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
+# Rows of the output drawn per step of standard_normal: the uniforms and
+# normals are computed in the output itself, and the only temporary, the
+# integer draws, never grows past one block.
+_BLOCK_ROWS = 1024
+_TWO_53 = float(1 << 53)  # a float divisor: the same quotient, found faster
+
+
+def standard_normal(
+    rng: np.random.Generator, size=None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Normal draws via the documented probit transform.
 
     z = ndtri((k + 1/2) / 2^53) with k uniform on {0, ..., 2^53 - 1}; the
     shifted uniform lies strictly inside (0, 1) so the probit is always
     finite.  Pinned so a reimplementation can reproduce the distribution
     from the same uniform stream.
+
+    Give either size, for a new array, or out, a float array or view (a
+    column slice of a matrix, say) to fill in place and return.  The values
+    are filled in row-major order, one block of rows at a time, and match
+    one call over the whole shape bit for bit: each k takes one 64-bit draw
+    of the stream (more only on a rejection), and nothing is buffered
+    between blocks.
     """
-    k = rng.integers(0, 1 << 53, size=size, dtype=np.int64)
-    return ndtri((k + 0.5) / (1 << 53))
+    if (size is None) == (out is None):
+        raise ValueError("give exactly one of size and out")
+    if out is None:
+        out = np.empty(size)
+    rows = out.reshape(1) if out.ndim == 0 else out
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        k = rng.integers(0, 1 << 53, size=block.shape, dtype=np.int64)
+        np.add(k, 0.5, out=block)
+        del k  # before the next block's draw
+        block /= _TWO_53
+        ndtri(block, out=block)
+    return out

@@ -104,12 +104,15 @@ def gen_sparse_instance(seed: int, index: int, n: int = 200) -> SimInstance:
     rng = stream_rng(seed, DOMAIN_SIM_SPARSE, index)
     z = standard_normal(rng, n)
     w = standard_normal(rng, n)
+    # Each block is drawn straight into its columns of X.  Scaling the noise
+    # and adding the shared part in place gives the same IEEE sums as
+    # 0.9 z + 0.3 w + sqrt(0.1) noise.
     X = np.empty((n, 100))
-    X[:, :10] = (
-        0.9 * z[:, None] + 0.3 * w[:, None] + math.sqrt(0.1) * standard_normal(rng, (n, 10))
-    )
-    X[:, 10:20] = standard_normal(rng, (n, 10))
-    X[:, 20:] = standard_normal(rng, (n, 80))
+    proxies = standard_normal(rng, out=X[:, :10])
+    proxies *= math.sqrt(0.1)
+    proxies += 0.9 * z[:, None] + 0.3 * w[:, None]
+    standard_normal(rng, out=X[:, 10:20])
+    standard_normal(rng, out=X[:, 20:])
     weak = _weak_signal_betas()
     mu = 1.5 * z + X[:, 10:20] @ weak
     betas = np.zeros(100)
@@ -139,11 +142,15 @@ def gen_weighted_instance(seed: int, index: int, n: int = 200) -> SimInstance:
     """
     rng = stream_rng(seed, DOMAIN_SIM_WEIGHTED, index)
     z = standard_normal(rng, n)
-    X = np.empty((n, 100))
-    X[:, :5] = 0.9 * z[:, None] + math.sqrt(0.19) * standard_normal(rng, (n, 5))
-    X[:, 5:15] = 0.5 * z[:, None] + math.sqrt(0.75) * standard_normal(rng, (n, 10))
-    X[:, 15:25] = standard_normal(rng, (n, 10))
-    X[:, 25:] = standard_normal(rng, (n, 75))
+    X = np.empty((n, 100))  # drawn in place, as in gen_sparse_instance
+    strong = standard_normal(rng, out=X[:, :5])
+    strong *= math.sqrt(0.19)
+    strong += 0.9 * z[:, None]
+    weak_proxies = standard_normal(rng, out=X[:, 5:15])
+    weak_proxies *= math.sqrt(0.75)
+    weak_proxies += 0.5 * z[:, None]
+    standard_normal(rng, out=X[:, 15:25])
+    standard_normal(rng, out=X[:, 25:])
     weak = _weak_signal_betas()
     mu = 1.5 * z + X[:, 15:25] @ weak
     betas = np.zeros(100)

@@ -126,14 +126,14 @@ def _rep_selections(study, inst, partition, props, cprops):
     out = {}
 
     if "lasso" in methods:
-        entries = fit_lasso_path(inst.data).entry_order()
+        entries = fit_lasso_path(inst.data, first_k=max(SIZES)).entry_order()
         for s in SIZES:
             if len(entries) >= s:
                 feats = tuple(sorted(entries[:s]))
                 out[("lasso", s)] = (feats, list(entries[:s]))
 
     if "protolasso" in methods:
-        ppath, pmap = protolasso(inst.data, partition)
+        ppath, pmap = protolasso(inst.data, partition, first_k=max(SIZES))
         pentries = ppath.entry_order()
         for s in SIZES:
             if len(pentries) >= s:
@@ -147,7 +147,9 @@ def _rep_selections(study, inst, partition, props, cprops):
                 out[("ss", s)] = (sel, list(sel))
 
     if "crl" in methods:
-        centries = cluster_rep_lasso(inst.data, partition).entry_order()
+        centries = cluster_rep_lasso(
+            inst.data, partition, first_k=max(SIZES)
+        ).entry_order()
         uniform = [
             np.full(len(c), 1.0 / len(c)) for c in partition.clusters
         ]
@@ -184,7 +186,6 @@ def _run_design_study(study, reps, seed, test_n, threads, log) -> StudyResult:
 
     for r in range(reps):
         inst = gen(seed, r)
-        test = gen(seed, EVAL_STREAM_OFFSET + r, n=test_n)
         partition = ClusterPartition(clusters=inst.truth.clusters)
         rs = _rep_seed(seed, r)
         lam = cross_validate_lambda(inst.data, seed=rs)
@@ -199,10 +200,14 @@ def _run_design_study(study, reps, seed, test_n, threads, log) -> StudyResult:
             proxy_pattern_hits += 1
 
         chosen = _rep_selections(study, inst, partition, props, cprops)
+        # One test set is alive at a time: drawn for the refits, freed before
+        # the next replication draws its own.
+        test = gen(seed, EVAL_STREAM_OFFSET + r, n=test_n)
         for (method, s), (feats, cols) in chosen.items():
             mse = refit_and_mse(inst.data, cols, test.data.X, test.mu)
             mses.setdefault((method, s), {})[r] = mse
             sels.setdefault((method, s), {})[r] = feats
+        del test
         if log:
             log(f"rep {r + 1}/{reps} done")
 

@@ -20,6 +20,7 @@ from cssel.core import (
 )
 from cssel.data import DataSet
 from cssel.lasso import ConvergenceFailure, fit_lasso_at, fit_lasso_path
+from cssel.simgen import gen_sparse_instance
 from cssel.subsampling import draw_complementary_pairs, draw_half_samples, restrict
 
 
@@ -165,6 +166,23 @@ def test_protolasso_runs_on_prototype_columns():
     assert path.knots[0][0] == direct.knots[0][0]
     assert path.knots[0][2] == direct.knots[0][2]
     assert all(0 <= k[2] < part.K for k in path.knots)
+
+
+def test_first_k_stops_the_reduced_paths_on_a_prefix():
+    """first_k passes through to the path: the stopped path is the full
+    path's first knots, with the same first k entrants, as the studies read
+    them."""
+    inst = gen_sparse_instance(0, 0)
+    part = ClusterPartition(clusters=inst.truth.clusters)
+    full_proto, proto = protolasso(inst.data, part)
+    stopped_proto, stopped_map = protolasso(inst.data, part, first_k=11)
+    assert stopped_map == proto
+    crl = cluster_rep_lasso(inst.data, part)
+    stopped_crl = cluster_rep_lasso(inst.data, part, first_k=11)
+    for full, stopped in ((full_proto, stopped_proto), (crl, stopped_crl)):
+        assert len(stopped.knots) < len(full.knots)
+        assert stopped.knots == full.knots[: len(stopped.knots)]
+        assert stopped.entry_order()[:11] == full.entry_order()[:11]
 
 
 def test_average_representatives_are_column_means():

@@ -825,6 +825,34 @@ def test_tall_half_entrant_does_not_drop_at_its_entry_knot():
     assert kkt_residual(half, path.coefficients_at(lam), lam) <= KKT_TOL
 
 
+def sparse_halves():
+    """The 100 uncentered 100x100 halves of the quick-start data."""
+    data = gen_sparse_instance(0, 0).data
+    plan = draw_complementary_pairs(data.n, 50, 0)
+    return [restrict(data, rows) for _, rows in plan.halves()]
+
+
+@pytest.mark.parametrize("lam", [1e-7, 1e-8, 0.0])
+def test_bottom_of_the_path_passes_its_kkt_check(lam):
+    """Regression: near lambda 0, rounding put a dropped feature's entry root
+    just past a relative cut below its drop knot, so it re-entered with the
+    sign it had dropped with (pair 14, A: KKT residual 2.0e-7 at 1e-7).
+    With that root masked exactly, every half's support is certified."""
+    for half in sparse_halves():
+        fixed_lambda_supports(half, [lam])
+
+
+def test_full_sparse_half_paths_are_certified_at_every_knot():
+    """Each of the 100 halves' paths runs to lambda 0 and passes the KKT
+    check at every knot and at its end."""
+    for half in sparse_halves():
+        path = fit_lasso_path(half)
+        assert path.completed
+        lams = np.array([k[0] for k in path.knots] + [0.0])
+        coefs = np.vstack([path.knot_coefs, path.terminal_coefs])
+        assert kkt_residual(half, coefs, lams) <= KKT_TOL
+
+
 def names_read(fn) -> set:
     """Global names read by a function's code, nested code included."""
     names, stack = set(), [fn.__code__]

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from cssel.rng import (
+    _BLOCK_ROWS,
     DOMAIN_CV,
     DOMAIN_SUBSAMPLE,
     standard_normal,
@@ -49,6 +51,32 @@ def test_standard_normal_shape_and_determinism():
     b = standard_normal(stream_rng(9, DOMAIN_CV, 3), (4, 5))
     assert a.shape == (4, 5)
     assert np.array_equal(a, b)
+
+
+def test_standard_normal_fills_views_block_by_block_bit_for_bit():
+    """Block by block, into a new array or a strided column slice, the
+    draws equal the probit of one integer draw over the whole shape."""
+    block = _BLOCK_ROWS
+    for rows in (1, block - 1, block, block + 1, 3 * block + 5):
+        k = stream_rng(4, DOMAIN_CV, rows).integers(0, 1 << 53, size=(rows, 3))
+        expected = ndtri((k + 0.5) / (1 << 53))
+        fresh = standard_normal(stream_rng(4, DOMAIN_CV, rows), (rows, 3))
+        assert np.array_equal(fresh, expected)
+        X = np.zeros((rows, 7))
+        filled = standard_normal(stream_rng(4, DOMAIN_CV, rows), out=X[:, 2:5])
+        assert np.array_equal(X[:, 2:5], expected)
+        assert filled.base is X
+        assert not X[:, :2].any() and not X[:, 5:].any()
+        flat = standard_normal(stream_rng(4, DOMAIN_CV, rows), rows * 3)
+        assert np.array_equal(flat, expected.ravel())
+
+
+def test_standard_normal_takes_size_or_out():
+    rng = stream_rng(4, DOMAIN_CV, 0)
+    with pytest.raises(ValueError):
+        standard_normal(rng)
+    with pytest.raises(ValueError):
+        standard_normal(rng, 3, out=np.empty(3))
 
 
 def test_standard_normal_moments_and_distribution():

@@ -1,6 +1,7 @@
 """Simulation generators: determinism, moments, truth metadata, CSV dump."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cssel.oracle import (
     vote_splitting_interval,
 )
 from cssel.simgen import (
+    EVAL_STREAM_OFFSET,
     SimInstance,
     SimTruth,
     gen_proxy_instance,
@@ -200,3 +202,50 @@ def test_csv_dump_round_trips_exactly(tmp_path):
     np.testing.assert_array_equal(
         np.array([float(r[0]) for r in rows[1:]]), inst.mu
     )
+
+
+# Row counts around one draw block of rng.standard_normal (1,024 rows), and
+# the studies' 10,000-row test sets.
+PIN_ROWS = (2, 3, 1023, 1024, 1025, 10000)
+PIN_PROXY = ProxyModelParams(
+    n=100, q=3, p=5, beta_Z=1.0, betas=(1.2, 0.4),
+    sigma_zeta_sq=(0.5, 1.0, 2.0), sigma_eps_sq=1.0,
+)
+PINNED_DRAWS = {
+    "sparse": lambda seed, rows: gen_sparse_instance(seed, 3, n=rows),
+    "weighted": lambda seed, rows: gen_weighted_instance(seed, 3, n=rows),
+    "two_proxy": lambda seed, rows: gen_two_proxy_instance(
+        200, 1.0, 1.5, seed, index=3, n_rows=rows, check_interval=False
+    ),
+    "proxy": lambda seed, rows: gen_proxy_instance(PIN_PROXY, seed, 3, n_rows=rows),
+}
+
+
+def test_draws_are_pinned():
+    """X, y and mu of every generator are frozen bit for bit, for row counts
+    on both sides of a draw block: a change to how they are drawn would
+    change every seeded study output."""
+    digests = {}
+    for name, draw in PINNED_DRAWS.items():
+        digest = hashlib.sha256()
+        for seed in (0, 1, 7):
+            for rows in PIN_ROWS:
+                inst = draw(seed, rows)
+                for a in (inst.data.X, inst.data.y, inst.mu):
+                    digest.update(np.ascontiguousarray(a).tobytes())
+        digests[name] = digest.hexdigest()
+    assert digests == {
+        "sparse": "441756abe81e80466892949064c55f78f08c536a1549b48202922ead0b62e8a2",
+        "weighted": "35c29d7485e664281b5dcf626f8cd21b37f89a2ca0c697af8f59d4517b66d775",
+        "two_proxy": "a3aac832b76235f567499e13e3464d351bfb022193fc3c9dc89df89457d1e31e",
+        "proxy": "0116ef425b97c35ca22b83151a9a49286b0f04ebcb47ea36611db991b7421f2b",
+    }
+
+
+def test_test_set_draw_holds_little_beyond_its_matrix(traced_peak):
+    """A studies' 10,000-row test set is drawn straight into X, block by
+    block: the draw's traced peak stays within 1.25 times X itself."""
+    inst, peak = traced_peak(
+        lambda: gen_sparse_instance(5, EVAL_STREAM_OFFSET, n=10000)
+    )
+    assert peak <= 1.25 * inst.data.X.nbytes

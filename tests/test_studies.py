@@ -154,3 +154,14 @@ def test_hand_built_result_round_trips(tmp_path):
     with open(tmp_path / "r" / "report.csv", newline="") as fh:
         got = list(csv.reader(fh))
     assert got[1] == ["lasso", "1", "0.5", "0.1", "", "", "", "2"]
+
+
+def test_design_study_holds_one_test_set_at_a_time(traced_peak):
+    """Each replication's 10,000-row test set is drawn for its refits and
+    freed before the next one is drawn: two replications trace a peak of at
+    most 1.5 test matrices (8 MB each)."""
+    test_x_bytes = 10000 * 100 * 8
+    _, peak = traced_peak(
+        lambda: run_study("sparse", reps=2, seed=5, test_n=10000)
+    )
+    assert peak <= 1.5 * test_x_bytes
