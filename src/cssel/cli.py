@@ -17,12 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .clustering import (
-    ConstantColumn,
-    correlation_distance_matrix,
-    maf_screen,
-    single_linkage_clusters,
-)
+from .clustering import ConstantColumn, correlation_clusters, maf_screen
 from .core import (
     ClusterPartition,
     HalfSampleFailure,
@@ -192,8 +187,7 @@ def cmd_run(args) -> int:
             data = DataSet(X=data.X[:, kept], y=data.y)
         column_ids = kept
     elif args.auto_cluster:
-        D = correlation_distance_matrix(data)
-        partition = single_linkage_clusters(D, args.cutoff)
+        partition = correlation_clusters(data, args.cutoff)
     else:
         partition = ClusterPartition.singletons(data.p)
     # the same checks as threshold_select and select_top_s, before the solves
@@ -264,20 +258,21 @@ def cmd_cluster(args) -> int:
     if args.binary:
         threshold = 0.01 if args.maf is None else args.maf
         kept = list(maf_screen(X, threshold))
-        screened = [j for j in range(X.shape[1]) if j not in set(kept)]
+        screened = sorted(set(range(X.shape[1])) - set(kept))
         X = X[:, kept]
     elif args.maf is not None:
         raise FileFormatError("--maf requires --binary")
     if X.shape[1] == 0:
         raise FileFormatError("no columns left after screening")
     try:
-        D = correlation_distance_matrix(DataSet(X=X, y=np.zeros(X.shape[0])))
+        partition = correlation_clusters(
+            DataSet(X=X, y=np.zeros(X.shape[0])), args.cutoff
+        )
     except ConstantColumn as exc:
         original = tuple(kept[j] for j in exc.columns)
         raise FileFormatError(
             f"constant column(s) {original}; screen them out first"
         ) from None
-    partition = single_linkage_clusters(D, args.cutoff)
     clusters = [[kept[j] for j in c] for c in partition.clusters]
     if args.out:
         write_clusters_json(args.out, clusters, names=None, screened=screened)

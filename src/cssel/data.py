@@ -42,10 +42,24 @@ class DataSet:
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
+        self._seal(X, y)
+
+    def _rows(self, rows: np.ndarray) -> "DataSet":
+        """The DataSet on the given in-range rows, X cut once into
+        column-major order.  Rows of checked data are finite and shaped, so
+        of the constructor's checks only the row count is made again."""
+        if rows.size < 2:
+            raise ValueError(f"need at least 2 rows, got {rows.size}")
+        sub = object.__new__(DataSet)
+        object.__setattr__(sub, "center", self.center)
+        sub._seal(self.X.T.take(rows, axis=1).T, self.y.take(rows))
+        return sub
+
+    def _seal(self, X: np.ndarray, y: np.ndarray) -> None:
+        X.setflags(write=False)
+        y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        self.X.setflags(write=False)
-        self.y.setflags(write=False)
 
     @property
     def n(self) -> int:

@@ -249,9 +249,10 @@ def fit_lasso_path(
     top = (abs_c0 >= mu1 * (1.0 - TIE_REL)).nonzero()[0][:max_active]
     entering = [(j, np.sign(c0[j])) for j in top]
     mu_next, row = mu1, (act[:0].copy(), c0[:0])
-    # fresh features entered at mu_cur; dropped left at mu_cur, else -1, with
-    # the sign in row dropped_row of _BOTH_SIGNS
-    mu_cur, fresh, dropped, dropped_row, terminal_lambda = mu1, 0, -1, 0, None
+    # fresh features entered at mu_cur; after_drop when a feature left at
+    # mu_cur, and then open_roots masks the entry roots that sit at mu_cur
+    mu_cur, fresh, after_drop, terminal_lambda = mu1, 0, False, None
+    open_roots = np.empty((2, p), dtype=bool)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
@@ -273,7 +274,7 @@ def fit_lasso_path(
                     rows.append(row)
                     entered.add(j)
                     if mu_cur != mu_next:
-                        mu_cur, fresh, dropped = mu_next, 0, -1
+                        mu_cur, fresh, after_drop = mu_next, 0, False
                     fresh += 1
             entering = []
             if first_k is not None and len(entered) >= first_k:
@@ -290,9 +291,10 @@ def fit_lasso_path(
             # On one segment a correlation a_j + mu*g_j, the boundaries +-mu
             # and an active coefficient are linear in mu, so each root is met
             # at most once.  A feature that dropped at mu_cur with sign s
-            # meets its s boundary there, and a fresh entrant's coefficient
-            # is zero there: wherever rounding puts those roots, they are
-            # masked outright.
+            # meets its s boundary there, as does each exact copy of it (a
+            # negated copy its -s boundary), and a fresh entrant's
+            # coefficient is zero there: wherever rounding puts those roots,
+            # they are masked outright.
 
             # Entry roots of a_j + mu*g_j = sgn*mu, sign +1 in row 0: argmax
             # takes the first maximum, so on equal roots + wins, then the
@@ -302,8 +304,8 @@ def fit_lasso_path(
             roots = a / denom
             valid = (np.abs(denom) > 1e-12) & (roots > 0.0) & (roots < upper) & candidates
             valid &= k < max_active
-            if dropped >= 0:
-                valid[dropped_row, dropped] = False
+            if after_drop:
+                valid &= open_roots
             roots = np.where(valid, roots, -np.inf)
             entry = int(roots.argmax())
             mu_entry = float(roots.flat[entry])
@@ -337,7 +339,12 @@ def fit_lasso_path(
             # case).
             if mu_drop >= mu_entry:
                 j_ev = int(A[drop])
-                dropped_row = 0 if cs[drop, 1] > 0 else 1
+                # u_j^T u_f reaches u_f^T u_f only for a copy u_j = u_f of
+                # the dropped f (Cauchy-Schwarz), and -u_f^T u_f only for -u_f
+                g_f = G[:, drop]
+                s_row = 0 if cs[drop, 1] > 0 else 1
+                np.less(g_f, g_f[j_ev], out=open_roots[s_row])
+                np.greater(g_f, -g_f[j_ev], out=open_roots[1 - s_row])
                 row[1][drop] = 0.0
                 rows.append(row)
                 knots.append((mu_next / n, "drop", j_ev))
@@ -348,7 +355,7 @@ def fit_lasso_path(
                 L = None
                 candidates[:] = True
                 candidates[act[:k]] = False
-                mu_cur, fresh, dropped = mu_next, 0, j_ev
+                mu_cur, fresh, after_drop = mu_next, 0, True
             else:
                 entering = group
 

@@ -88,7 +88,8 @@ def draw_half_samples(n: int, B: int, seed: int) -> np.ndarray:
 
 def restrict(data: DataSet, indices) -> DataSet:
     """The sub-DataSet on the given rows in ascending order (rows already strictly
-    increasing are not re-sorted), its X cut once into column-major order."""
+    increasing are not re-sorted), its X cut once into column-major order.  The
+    rows of a checked DataSet are not scanned again."""
     rows = np.asarray(indices, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("empty row set")
@@ -96,4 +97,4 @@ def restrict(data: DataSet, indices) -> DataSet:
         rows = np.sort(rows)
     if rows[0] < 0 or rows[-1] >= data.n:
         raise ValueError(f"row index out of range for n={data.n}")
-    return DataSet(X=data.X.T.take(rows, axis=1).T, y=data.y.take(rows), center=data.center)
+    return data._rows(rows)

@@ -218,6 +218,21 @@ def test_exit_code_3_on_solver_failure(tmp_path, capsys, monkeypatch):
     assert "solver failure" in err and "pair 0" in err
 
 
+def test_run_on_duplicated_columns_at_a_small_lambda_exits_ok(tmp_path):
+    """The quick-start data with columns 0-19 appended as copies: at
+    lambda 1e-4 (about 1e-3 lambda_max) a copy of a feature that drops on a
+    half sample no longer enters at the drop with the wrong sign."""
+    data = gen_sparse_instance(0, 0).data
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(xp, np.hstack([data.X, data.X[:, :20]]), delimiter=",", fmt="%.17g")
+    np.savetxt(yp, data.y[:, None], delimiter=",", fmt="%.17g")
+    code = run_cli(
+        "run", "--x", xp, "--y", yp, "--auto-cluster", "--B", "50", "--seed", "0",
+        "--tau", "0.6", "--lambda", "1e-4", "--out", tmp_path / "out",
+    )
+    assert code == EXIT_OK
+
+
 def test_run_on_wide_data_exits_ok(tmp_path, monkeypatch):
     """60x100 (p > n): a fixed lambda below the point where the half-sample
     paths reach 30 active features used to exit 3, and the CV default ran

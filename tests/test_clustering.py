@@ -1,15 +1,25 @@
 """Correlation-distance clustering and the binary-design frequency screen."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cssel.clustering import (
+    BLOCK,
     ConstantColumn,
+    component_labels,
+    correlation_clusters,
     correlation_distance_matrix,
     maf_screen,
     single_linkage_clusters,
 )
 from cssel.data import DataSet
+from cssel.simgen import gen_sparse_instance
 
 
 def union_find_components(D, cutoff):
@@ -62,6 +72,127 @@ def test_single_linkage_matches_union_find_reference():
         cutoff = float(rng.uniform(0.05, 0.95))
         part = single_linkage_clusters(D, cutoff)
         assert part.clusters == union_find_components(D, cutoff)
+
+
+def random_graph(rng, p, edges):
+    """A symmetric distance matrix whose pairs below 0.5 are `edges` random
+    pairs; the rest lie at 0.9."""
+    D = np.full((p, p), 0.9)
+    u, v = rng.integers(0, p, size=(2, edges))
+    D[u, v] = D[v, u] = 0.1
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def test_component_labels_match_union_find_on_random_graphs():
+    """Sparse graphs with p/2 to 2p edges have long chains and many
+    components; each label is the smallest node of its component."""
+    rng = np.random.default_rng(4)
+    for trial in range(30):
+        p = int(rng.integers(20, 300))
+        D = random_graph(rng, p, int(rng.integers(p // 2, 2 * p)))
+        expect = union_find_components(D, 0.5)
+        assert single_linkage_clusters(D, 0.5).clusters == expect
+        heads, tails = np.nonzero(D < 0.5)
+        labels = component_labels(p, heads, tails)
+        for group in expect:
+            assert (labels[list(group)] == group[0]).all()
+
+
+def test_component_labels_on_a_shuffled_chain_take_few_rounds():
+    """A chain through 20,000 nodes in random order is one component.
+    Propagating the smallest label along edges needs a round per link;
+    hooking roots under the smallest root takes about log2 p rounds."""
+    rng = np.random.default_rng(5)
+    p = 20_000
+    order = rng.permutation(p)
+    heads, tails = order[:-1], order[1:]
+    start = time.perf_counter()
+    labels = component_labels(p, heads, tails)
+    elapsed = time.perf_counter() - start
+    assert (labels == 0).all()
+    assert elapsed < 0.5
+    # a star whose centre is its largest node: hooking the centre under any
+    # smaller leaf, not the smallest, would merge one leaf per round
+    start = time.perf_counter()
+    labels = component_labels(p, np.full(p - 1, p - 1), np.arange(p - 1))
+    elapsed = time.perf_counter() - start
+    assert (labels == 0).all()
+    assert elapsed < 0.5
+    # no edges: every node is its own component
+    assert component_labels(3, [], []).tolist() == [0, 1, 2]
+
+
+def dense_clusters(data, cutoff):
+    return single_linkage_clusters(correlation_distance_matrix(data), cutoff)
+
+
+def test_correlation_clusters_match_the_dense_route_on_sparse_designs():
+    for seed in range(6):
+        for index in range(8):
+            data = gen_sparse_instance(seed, index).data
+            assert correlation_clusters(data, 0.5) == dense_clusters(data, 0.5)
+
+
+def planted_groups(p, seed, n=60):
+    """p columns, each a noisy copy of one of p // 4 latent columns picked at
+    random, so groups straddle the column blocks."""
+    rng = np.random.default_rng(seed)
+    latent = rng.standard_normal((n, p // 4))
+    X = latent[:, rng.integers(0, p // 4, size=p)] + 0.3 * rng.standard_normal((n, p))
+    return DataSet(X=X, y=np.zeros(n))
+
+
+@pytest.mark.parametrize("p", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_correlation_clusters_match_the_dense_route_across_blocks(p):
+    data = planted_groups(p, seed=p)
+    part = correlation_clusters(data, 0.5)
+    assert part == dense_clusters(data, 0.5)
+    assert part.K < p
+    if p > BLOCK:
+        assert any(c[0] < BLOCK <= c[-1] for c in part.clusters)
+    # cutoffs at and above 1 merge every pair
+    assert correlation_clusters(data, 5.0).K == 1
+
+
+def test_correlation_clusters_reject_constant_columns_and_bad_cutoffs():
+    for p in (4, BLOCK + 3):
+        X = np.random.default_rng(6).standard_normal((10, p))
+        X[:, 0] = 1.0
+        X[:, 2] = -2.0
+        X[:, -1] = 0.0
+        data = DataSet(X=X, y=np.arange(10.0))
+        for route in (correlation_clusters, dense_clusters):
+            with pytest.raises(ConstantColumn) as info:
+                route(data, 0.5)
+            assert info.value.columns == (0, 2, p - 1)
+    data = planted_groups(8, seed=0)
+    with pytest.raises(ValueError, match="positive"):
+        correlation_clusters(data, 0.0)
+
+
+def test_correlation_clusters_hold_no_p_by_p_matrix(traced_peak):
+    """At p = 3,000 one p x p float matrix is 72 MB; the blocks stay under a
+    quarter of that."""
+    p = 3000
+    data = planted_groups(p, seed=7, n=200)
+    part, peak = traced_peak(lambda: correlation_clusters(data, 0.5))
+    assert part.K < p
+    assert peak < p * p * 8 / 4
+
+
+def test_the_cli_and_studies_do_not_import_scipy_sparse():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, cssel.cli, cssel.studies; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_single_linkage_cutoff_is_strict():

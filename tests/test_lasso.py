@@ -853,6 +853,27 @@ def test_full_sparse_half_paths_are_certified_at_every_knot():
         assert kkt_residual(half, coefs, lams) <= KKT_TOL
 
 
+def copied_halves(sign):
+    """The 100 halves of the quick-start data with columns 0-19 appended as
+    copies (sign 1) or negated copies (sign -1): 100x120."""
+    data = gen_sparse_instance(0, 0).data
+    data = DataSet(X=np.hstack([data.X, sign * data.X[:, :20]]), y=data.y)
+    plan = draw_complementary_pairs(data.n, 50, 0)
+    return [restrict(data, rows) for _, rows in plan.halves()]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_copies_of_a_dropped_feature_do_not_enter_at_its_drop(sign):
+    """Regression: a copy kept out while its original was active sits on the
+    original's boundary when the original drops, so it entered at once,
+    rounding just below the drop knot, and its coefficient took the other
+    sign (3, 9, 46, 84 and 6 of the 100 halves failed their KKT check at
+    these lambdas, lambda_max being 0.092).  Its root there is masked like
+    the dropped feature's own; a negated copy's on the other boundary."""
+    for half in copied_halves(sign):
+        fixed_lambda_supports(half, [3e-4, 1e-4, 1e-5, 1e-7, 0.0])
+
+
 def names_read(fn) -> set:
     """Global names read by a function's code, nested code included."""
     names, stack = set(), [fn.__code__]

@@ -178,6 +178,33 @@ def test_restrict_cuts_ascending_column_major_halves():
         assert sub.X.flags.f_contiguous
 
 
+def test_restrict_equals_a_checked_dataset_of_the_rows():
+    """restrict skips the finiteness scan of a checked DataSet's rows, and
+    gives what the public constructor gives on them."""
+    rng = np.random.default_rng(3)
+    for center in (False, True):
+        data = DataSet(X=rng.standard_normal((40, 5)), y=rng.standard_normal(40), center=center)
+        for rows in (np.arange(0, 40, 2), rng.permutation(40)[:7], (3, 1)):
+            sub = restrict(data, rows)
+            expect = DataSet(X=data.X[np.sort(rows)], y=data.y[np.sort(rows)], center=center)
+            assert type(sub) is DataSet and sub.center is center
+            assert np.array_equal(sub.X, expect.X) and np.array_equal(sub.y, expect.y)
+            assert not sub.X.flags.writeable and not sub.y.flags.writeable
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            restrict(data, (4,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_dataset_still_rejects_non_finite_entries(bad):
+    X, y = np.ones((4, 2)), np.arange(4.0)
+    X[1, 1] = bad
+    with pytest.raises(ValueError, match="X contains non-finite"):
+        DataSet(X=X, y=y)
+    y[2] = bad
+    with pytest.raises(ValueError, match="y contains non-finite"):
+        DataSet(X=np.ones((4, 2)), y=y)
+
+
 def test_halves_list_each_pair_first_then_complement():
     plan = draw_complementary_pairs(10, B=3, seed=4)
     halves = plan.halves()
