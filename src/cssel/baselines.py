@@ -1,10 +1,11 @@
-"""Comparator methods: SS and MB stability selection, prototype lasso,
-and the simple-average cluster representative lasso.
+"""Comparator methods: the prototype lasso and the simple-average cluster
+representative lasso.
 
-The SS and MB proportions read their lasso supports off the same certified
-route as cluster stability selection (lasso.fixed_lambda_supports), and
-the marginal prototypes take their centering and column norms from
-data.center_and_scale.
+Plain stability selection (Meinshausen & Buehlmann; Shah & Samworth) needs
+no function of its own: it is cluster stability selection with singleton
+clusters, so its proportions are core.feature_proportions of the selection
+matrix that core.run_base_selections returns.  The marginal prototypes take
+their centering and column norms from data.center_and_scale.
 """
 
 from __future__ import annotations
@@ -13,50 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterPartition, map_halves
+from .core import ClusterPartition
 from .data import DataSet, center_and_scale
-from .lasso import TIE_REL, LassoPath, fit_lasso_path, fixed_lambda_supports
-from .subsampling import SubsamplePlan
-
-
-def _per_lambda_proportions(data: DataSet, halves, lambdas, threads: int) -> np.ndarray:
-    """Max over lambdas of per-lambda selection frequency across the halves."""
-    lambdas = tuple(float(l) for l in lambdas)
-    if not lambdas:
-        raise ValueError("need at least one lambda")
-    # S[i, l, j]: whether half i selected feature j at the l-th distinct lambda
-    S = map_halves(
-        data, halves, lambda label, half: fixed_lambda_supports(half, lambdas), threads
-    )
-    return np.mean(S, axis=0).max(axis=0)
-
-
-def stability_selection_ss(
-    data: DataSet, plan: SubsamplePlan, lambdas, threads: int = 1
-) -> np.ndarray:
-    """Per-feature selection proportions over complementary half-sample pairs.
-
-    With one lambda this is the plain fraction of the 2B halves selecting
-    each feature; with several it is the max over lambdas of the per-lambda
-    fractions.
-    """
-    return _per_lambda_proportions(data, plan.halves(), lambdas, threads)
-
-
-def stability_selection_mb(
-    data: DataSet, subsample_list, lambdas, threads: int = 1
-) -> np.ndarray:
-    """Per-feature selection proportions over unpaired half subsamples."""
-    m = data.n // 2
-    halves = []
-    for i, rows in enumerate(subsample_list):
-        rows = np.asarray(rows, dtype=int)
-        if rows.shape != (m,):
-            raise ValueError(f"subsample {i} must have {m} rows, got {rows.shape}")
-        halves.append(((i, "subsample"), rows))
-    if not halves:
-        raise ValueError("need at least one subsample")
-    return _per_lambda_proportions(data, halves, lambdas, threads)
+from .lasso import TIE_REL, LassoPath, fit_lasso_path
 
 
 @dataclass(frozen=True)

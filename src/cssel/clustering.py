@@ -46,7 +46,7 @@ def _symmetrize(D: np.ndarray) -> None:
 
 
 def _check_cutoff(cutoff: float) -> float:
-    if cutoff <= 0.0:
+    if not cutoff > 0.0:
         raise ValueError("cutoff must be positive")
     return min(float(cutoff), 1.0)
 

@@ -81,30 +81,6 @@ class HalfSampleFailure(RuntimeError):
         super().__init__(f"solver failure on half sample (pair {pair}, {half}): {cause}")
 
 
-def map_halves(data: DataSet, halves, fit, threads: int) -> list:
-    """fit(label, half data) for every (label, rows) in `halves`, in order.
-
-    The one place where half samples are cut from `data` and dispatched,
-    serially or on a pool of `threads` threads.  A failure inside `fit` is
-    re-raised as HalfSampleFailure naming the half's label (pair, tag).
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-
-    def solve(item):
-        label, rows = item
-        half = restrict(data, rows)
-        try:
-            return fit(label, half)
-        except Exception as exc:
-            raise HalfSampleFailure(label[0], label[1], exc) from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, halves))
-    return [solve(item) for item in halves]
-
-
 def first_entrants(data: DataSet, k: int) -> list[int]:
     """The first k distinct features to enter the lasso path, in entry order.
 
@@ -132,8 +108,13 @@ def run_base_selections(
     selected feature j.  With summarize_records this is the route for a
     hand-built plan or the first-k base, which run_css does not take.
 
-    base "fixed-lambda-set": union of lasso supports over the given lambdas.
+    base "fixed-lambda-set": union of lasso supports over the given lambdas,
+    each finite and nonnegative.
     base "first-k-path": the first `first_k` features to enter the path.
+
+    The one place where half samples are cut from `data` and dispatched,
+    serially or on a pool of `threads` threads.  A failure on a half is
+    re-raised as HalfSampleFailure naming its pair and tag ("A" or "Ac").
     """
     if base not in BASES:
         raise ValueError(f"base must be one of {BASES}, got {base!r}")
@@ -141,17 +122,29 @@ def run_base_selections(
         if lambdas is None or len(tuple(lambdas)) == 0:
             raise ValueError("fixed-lambda-set base needs a nonempty lambda list")
         lambdas = tuple(float(l) for l in lambdas)
+        if not all(0.0 <= l < np.inf for l in lambdas):
+            raise ValueError(f"lambdas must be finite and nonnegative, got {lambdas}")
     if base == "first-k-path" and (first_k is None or first_k < 1):
         raise ValueError("first-k-path base needs a positive first_k")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
-    def fit(label, half):
-        if base == "fixed-lambda-set":
-            return fixed_lambda_supports(half, lambdas).any(axis=0)
-        row = np.zeros(half.p, dtype=bool)
-        row[first_entrants(half, first_k)] = True
-        return row
+    def solve(item):
+        (pair, tag), rows = item
+        half = restrict(data, rows)
+        try:
+            if base == "fixed-lambda-set":
+                return fixed_lambda_supports(half, lambdas).any(axis=0)
+            row = np.zeros(half.p, dtype=bool)
+            row[first_entrants(half, first_k)] = True
+            return row
+        except Exception as exc:
+            raise HalfSampleFailure(pair, tag, exc) from exc
 
-    return np.array(map_halves(data, plan.halves(), fit, threads))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.array(list(pool.map(solve, plan.halves())))
+    return np.array([solve(item) for item in plan.halves()])
 
 
 def _cluster_hits(S: np.ndarray, partition: ClusterPartition) -> np.ndarray:

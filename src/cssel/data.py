@@ -38,7 +38,9 @@ class DataSet:
             raise ValueError("need at least 1 column")
         if y.shape[0] != n:
             raise ValueError(f"y has {y.shape[0]} entries for {n} rows of X")
-        if not np.all(np.isfinite(X)):
+        # NaN carries through min and max, and +-inf shows in one of them,
+        # so no n x p temporary of isfinite is needed
+        if not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise ValueError("X contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")

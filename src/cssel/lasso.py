@@ -139,7 +139,7 @@ class LassoPath:
         bit for bit the vector that its lambda alone gives.
         """
         lams = np.asarray(lam, dtype=float)
-        if (lams < 0).any():
+        if not (lams >= 0).all():
             raise ValueError("lambda must be nonnegative")
         if (lams < self.terminal_lambda).any():
             raise ValueError(
@@ -214,7 +214,7 @@ def fit_lasso_path(
     """
     if first_k is not None and first_k < 1:
         raise ValueError("first_k must be positive")
-    if stop_lambda < 0:
+    if not stop_lambda >= 0:
         raise ValueError("stop_lambda must be nonnegative")
     U, y, _, _, norms, _ = center_and_scale(data.X, data.y, data.center)
     n, p = U.shape

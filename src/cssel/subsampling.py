@@ -81,11 +81,6 @@ def draw_complementary_pairs(n: int, B: int, seed: int) -> SubsamplePlan:
     return SubsamplePlan(n=n, B=B, pairs=hits.reshape(B, 2, m))
 
 
-def draw_half_samples(n: int, B: int, seed: int) -> np.ndarray:
-    """B unpaired half samples (one per pair stream), as a (B, n // 2) array."""
-    return draw_complementary_pairs(n, B, seed).pairs[:, 0]
-
-
 def restrict(data: DataSet, indices) -> DataSet:
     """The sub-DataSet on the given rows in ascending order (rows already strictly
     increasing are not re-sorted), its X cut once into column-major order.  The

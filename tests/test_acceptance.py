@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from cssel.baselines import stability_selection_ss
 from cssel.cli import main
 from cssel.core import (
     ClusterPartition,
@@ -37,7 +36,7 @@ from cssel.oracle import (
 )
 from cssel.simgen import EVAL_STREAM_OFFSET, gen_proxy_instance
 from cssel.studies import run_study
-from cssel.subsampling import draw_complementary_pairs
+from cssel.subsampling import draw_complementary_pairs, restrict
 
 pytestmark = pytest.mark.acceptance
 
@@ -338,6 +337,16 @@ def test_10_stability_metric_calibration():
 
 
 def test_11_reductions_to_plain_stability_selection():
+    """CSS with singleton clusters is plain stability selection: its
+    proportions equal the fraction of the 2B halves whose coordinate-descent
+    support, solved independently of the homotopy route, holds each feature."""
+
+    def descent_proportions(data, plan, lam):
+        hits = np.zeros(data.p)
+        for _, rows in plan.halves():
+            hits[list(fit_lasso_at(restrict(data, rows), lam).support)] += 1
+        return hits / (2 * plan.B)
+
     rng = np.random.default_rng(1111)
     for seed in (0, 1, 2):
         n, p = 60, 8
@@ -350,7 +359,7 @@ def test_11_reductions_to_plain_stability_selection():
             data, ClusterPartition.singletons(p), scheme="simple",
             B=20, seed=seed, lambdas=(lam,),
         )
-        ss = stability_selection_ss(data, plan, (lam,))
+        ss = descent_proportions(data, plan, lam)
         assert np.array_equal(res.cluster_props, ss)
         assert np.array_equal(res.feature_props, ss)
         # union over a lambda set dominates every per-lambda maximum
@@ -358,7 +367,7 @@ def test_11_reductions_to_plain_stability_selection():
         union = feature_proportions(
             run_base_selections(data, plan, lambdas=lambdas)
         )
-        per_lam_max = stability_selection_ss(data, plan, lambdas)
+        per_lam_max = np.max([descent_proportions(data, plan, l) for l in lambdas], axis=0)
         assert np.all(union >= per_lam_max)
 
 

@@ -1,27 +1,20 @@
-"""Comparator methods: SS/MB proportions, prototypes, average-rep lasso."""
+"""Comparator methods: marginal prototypes, the prototype lasso and the
+simple-average representative lasso.  Plain stability selection is CSS with
+singleton clusters; test_acceptance::test_11 checks that reduction."""
 
 import numpy as np
 import pytest
 
-from cssel import lasso
 from cssel.baselines import (
     average_representatives,
     cluster_rep_lasso,
     marginal_prototypes,
     protolasso,
-    stability_selection_mb,
-    stability_selection_ss,
 )
-from cssel.core import (
-    ClusterPartition,
-    HalfSampleFailure,
-    feature_proportions,
-    run_base_selections,
-)
+from cssel.core import ClusterPartition
 from cssel.data import DataSet
-from cssel.lasso import ConvergenceFailure, fit_lasso_at, fit_lasso_path
+from cssel.lasso import fit_lasso_path
 from cssel.simgen import gen_sparse_instance
-from cssel.subsampling import draw_complementary_pairs, draw_half_samples, restrict
 
 
 def instance(seed, n=50, p=5, strong=(0,)):
@@ -31,75 +24,6 @@ def instance(seed, n=50, p=5, strong=(0,)):
     beta[list(strong)] = 2.0
     y = X @ beta + 0.5 * rng.standard_normal(n)
     return DataSet(X=X, y=y)
-
-
-def test_ss_single_lambda_equals_union_proportions():
-    # with one lambda the max-over-lambdas rule and the union rule coincide,
-    # so SS proportions must reproduce the feature proportions exactly
-    data = instance(0, n=60, p=6, strong=(0, 1))
-    plan = draw_complementary_pairs(data.n, B=5, seed=3)
-    lam = 0.15
-    props = stability_selection_ss(data, plan, (lam,))
-    S = run_base_selections(data, plan, lambdas=(lam,))
-    np.testing.assert_array_equal(props, feature_proportions(S))
-
-
-def test_ss_max_rule_and_union_dominance():
-    data = instance(1, n=60, p=6, strong=(0, 1))
-    plan = draw_complementary_pairs(data.n, B=4, seed=5)
-    lambdas = (0.3, 0.08)
-    combined = stability_selection_ss(data, plan, lambdas)
-    per_lam = [stability_selection_ss(data, plan, (lam,)) for lam in lambdas]
-    np.testing.assert_array_equal(combined, np.maximum(*per_lam))
-    union = feature_proportions(run_base_selections(data, plan, lambdas=lambdas))
-    assert np.all(union >= combined - 1e-15)
-
-
-def test_ss_threads_do_not_change_proportions():
-    data = instance(2, n=50, p=5)
-    plan = draw_complementary_pairs(data.n, B=6, seed=1)
-    one = stability_selection_ss(data, plan, (0.2, 0.05), threads=1)
-    four = stability_selection_ss(data, plan, (0.2, 0.05), threads=4)
-    np.testing.assert_array_equal(one, four)
-
-
-def test_mb_counts_unpaired_subsamples():
-    data = instance(3, n=40, p=4)
-    subs = draw_half_samples(data.n, B=6, seed=2)
-    lam = 0.2
-    props = stability_selection_mb(data, subs, (lam,))
-    counts = np.zeros(data.p)
-    for rows in subs:
-        for j in fit_lasso_at(restrict(data, rows), lam).support:
-            counts[j] += 1
-    np.testing.assert_array_equal(props, counts / len(subs))
-
-
-def test_mb_validates_subsamples():
-    data = instance(4, n=40, p=4)
-    with pytest.raises(ValueError):
-        stability_selection_mb(data, [], (0.1,))
-    with pytest.raises(ValueError):
-        stability_selection_mb(data, [np.arange(5)], (0.1,))  # needs n//2 rows
-    subs = draw_half_samples(data.n, B=2, seed=0)
-    with pytest.raises(ValueError):
-        stability_selection_mb(data, subs, ())
-
-
-def test_solver_failure_is_labeled(monkeypatch):
-    data = instance(5, n=40, p=4)
-    plan = draw_complementary_pairs(data.n, B=2, seed=0)
-
-    def failed_certificate(*args):
-        raise ConvergenceFailure(1.0, None)
-
-    monkeypatch.setattr(lasso, "kkt_residual", failed_certificate)
-    with pytest.raises(HalfSampleFailure) as info:
-        stability_selection_ss(data, plan, (0.1,))
-    assert info.value.pair == 0 and info.value.half == "A"
-    with pytest.raises(HalfSampleFailure) as info:
-        stability_selection_mb(data, draw_half_samples(data.n, B=2, seed=0), (0.1,))
-    assert info.value.pair == 0 and info.value.half == "subsample"
 
 
 def test_marginal_prototypes_pick_strongest_member():

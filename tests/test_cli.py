@@ -180,6 +180,39 @@ def test_threads_below_one_exit_2(tmp_path, capsys, monkeypatch):
     assert "threads must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--lambda", "-1"),
+        ("--lambda", "nan"),
+        ("--lambda", "inf"),
+        ("--lambda", "0.2", "--lambda", "nan"),
+        ("--auto-cluster", "--cutoff", "nan"),
+    ],
+    ids=["negative", "nan", "inf", "nan-after-a-good-one", "nan-cutoff"],
+)
+def test_bad_penalties_and_cutoffs_exit_2_before_any_half(tmp_path, monkeypatch, extra):
+    def no_half(*args):
+        raise AssertionError("a half sample was cut")
+
+    monkeypatch.setattr(core, "restrict", no_half)
+    xp, yp, _, _ = write_xy(tmp_path, n=30, p=5)
+    out = tmp_path / "o"
+    code = run_cli(
+        "run", "--x", xp, "--y", yp, "--out", out, "--B", "3", "--tau", "0.6", *extra
+    )
+    assert code == EXIT_INVALID
+    assert not (out / "css_result.json").exists()
+
+
+def test_cluster_rejects_a_nan_cutoff(tmp_path, capsys):
+    xp, _, _, _ = write_xy(tmp_path, n=30, p=5)
+    out = tmp_path / "clusters.json"
+    assert run_cli("cluster", "--x", xp, "--cutoff", "nan", "--out", out) == EXIT_INVALID
+    assert "cutoff must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tau_and_top_are_checked_before_the_run(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("run_css called with an invalid --tau or --top")

@@ -167,8 +167,9 @@ def test_correlation_clusters_reject_constant_columns_and_bad_cutoffs():
                 route(data, 0.5)
             assert info.value.columns == (0, 2, p - 1)
     data = planted_groups(8, seed=0)
-    with pytest.raises(ValueError, match="positive"):
-        correlation_clusters(data, 0.0)
+    for bad in (0.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            correlation_clusters(data, bad)
 
 
 def test_correlation_clusters_hold_no_p_by_p_matrix(traced_peak):

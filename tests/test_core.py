@@ -263,6 +263,9 @@ def test_base_selections_validate_arguments():
         run_base_selections(data, plan, lambdas=None)
     with pytest.raises(ValueError):
         run_base_selections(data, plan, base="first-k-path", first_k=0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            run_base_selections(data, plan, lambdas=(0.1, bad))
 
 
 def test_first_k_base_caps_selection_size():

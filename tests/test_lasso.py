@@ -417,6 +417,18 @@ def test_stop_lambda_truncates_path_exactly():
     assert checked >= 10
 
 
+def test_nan_penalties_are_rejected():
+    """NaN fails every comparison, so the sign checks must not let it through."""
+    data = random_instance(np.random.default_rng(22), 30, 5)
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit_lasso_path(data, stop_lambda=bad)
+    path = fit_lasso_path(data)
+    for bad in (np.nan, [0.1, np.nan], -1.0):
+        with pytest.raises(ValueError, match="nonnegative"):
+            path.coefficients_at(bad)
+
+
 def test_stop_lambda_above_first_knot_yields_empty_path():
     rng = np.random.default_rng(22)
     data = random_instance(rng, 20, 5)

@@ -9,7 +9,6 @@ from cssel.data import DataSet
 from cssel.subsampling import (
     SubsamplePlan,
     draw_complementary_pairs,
-    draw_half_samples,
     restrict,
 )
 
@@ -120,12 +119,6 @@ def test_plan_json_round_trip_fields():
     assert np.array_equal(rebuilt.pairs, plan.pairs)
 
 
-def test_draw_half_samples_matches_pair_first_halves():
-    halves = draw_half_samples(20, B=6, seed=2)
-    plan = draw_complementary_pairs(20, B=6, seed=2)
-    assert np.array_equal(halves, [pair[0] for pair in plan.pairs])
-
-
 def test_too_small_n_rejected():
     with pytest.raises(ValueError):
         draw_complementary_pairs(3, B=1, seed=0)
@@ -203,6 +196,13 @@ def test_public_dataset_still_rejects_non_finite_entries(bad):
     y[2] = bad
     with pytest.raises(ValueError, match="y contains non-finite"):
         DataSet(X=np.ones((4, 2)), y=y)
+
+
+def test_dataset_checks_finiteness_without_an_n_by_p_temporary(traced_peak):
+    """isfinite(X) is a bool per entry, 1/8 of X; min and max allocate none."""
+    X = np.random.default_rng(4).standard_normal((2000, 500))
+    _, peak = traced_peak(lambda: DataSet(X=X, y=np.zeros(2000)))
+    assert peak < 0.01 * X.nbytes, peak
 
 
 def test_halves_list_each_pair_first_then_complement():
