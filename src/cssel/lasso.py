@@ -436,7 +436,7 @@ def fit_lasso_at(
     kkt_tol: float = KKT_TOL,
 ) -> LassoFit:
     """Coordinate-descent solution at a fixed lambda; no column may be zero."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     U, y, _, _, norms, _ = center_and_scale(data.X, data.y, data.center)
     n, p = U.shape
@@ -452,7 +452,7 @@ def fit_lasso_at(
         beta, iterations = _cd_solve(G, c, n * lam, np.zeros(p), tol, max_iter)
     coef = beta / norms
     resid = kkt_residual(data, coef, lam)
-    if resid > kkt_tol:
+    if not resid <= kkt_tol:
         raise ConvergenceFailure(resid, iterations)
     return LassoFit(
         lam=float(lam),

@@ -55,6 +55,9 @@ class ProxyModelParams:
             raise ValueError(f"need {self.p - self.q} direct coefficients")
         if len(self.sigma_zeta_sq) != self.q:
             raise ValueError(f"need {self.q} proxy noise variances")
+        values = (self.beta_Z, *self.betas, *self.sigma_zeta_sq, self.sigma_eps_sq)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("model parameters must be finite")
         if any(s < 0 for s in self.sigma_zeta_sq) or self.sigma_eps_sq < 0:
             raise ValueError("variances must be nonnegative")
 
@@ -154,8 +157,8 @@ def vote_splitting_interval(
         raise ValueError("interval formula requires n >= 100")
     if not 0.0 < c2 <= C2_MAX + 1e-15:
         raise ValueError(f"c2 must lie in (0, {C2_MAX}]")
-    if sigma_eps_sq < 0:
-        raise ValueError("sigma_eps_sq must be nonnegative")
+    if not 0 <= sigma_eps_sq < math.inf:
+        raise ValueError("sigma_eps_sq must be finite and nonnegative")
     lo = 1.0 + 10.0 * math.sqrt(proxy_noise_variance(n))
     hi = 1.0 + 1.9 * math.sqrt((2.0 + sigma_eps_sq) / c2) * math.log(n) ** 0.75 / math.sqrt(n)
     if lo >= hi:

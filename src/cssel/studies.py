@@ -8,12 +8,14 @@ design; "averaging" compares the averaging schemes on the same design;
 three-feature vote-splitting design and checks the selection error bound
 against an independently estimated cluster hit level.
 
+Studies of one design can share each replication's pass (run_design_studies).
 Every study derives one sub-seed per replication, so replication r is
 reproducible in isolation and thread counts never change any output.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -55,6 +57,8 @@ SIZES = tuple(range(1, 12))
 COMPARE_SIZES = tuple(range(2, 9))
 B_STUDY = 50
 
+# Studies that name the same design share its replication pass.
+_DESIGN = {"sparse": "sparse", "averaging": "sparse", "weighted": "weighted"}
 _METHODS = {
     "sparse": ("lasso", "protolasso", "ss", "css-sparse"),
     "averaging": ("crl", "css-sparse", "css-simple", "css-weighted"),
@@ -75,20 +79,15 @@ def _rep_seed(seed: int, index: int) -> int:
 
 
 def run_study(
-    study: str,
-    reps: int,
-    seed: int,
-    test_n: int = 10000,
-    threads: int = 1,
-    log=None,
+    study: str, reps: int, seed: int, test_n: int = 10000, threads: int = 1, log=None
 ) -> StudyResult:
     if study not in STUDIES:
         raise ValueError(f"study must be one of {STUDIES}, got {study!r}")
+    if study != "theorem31":
+        return run_design_studies((study,), reps, seed, test_n, threads, log)[0]
     if reps < 1:
         raise ValueError("need at least one replication")
-    if study == "theorem31":
-        return _run_two_proxy_study(reps, seed, threads=threads, log=log)
-    return _run_design_study(study, reps, seed, test_n=test_n, threads=threads, log=log)
+    return _run_two_proxy_study(reps, seed, threads=threads, log=log)
 
 
 def write_study_outputs(result: StudyResult, out_dir) -> None:
@@ -99,30 +98,25 @@ def write_study_outputs(result: StudyResult, out_dir) -> None:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if result.entrant_rows:
-        import csv
-
         with open(os.path.join(out_dir, "entrants.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("first", "second", "count", "freq"))
             writer.writerows(result.entrant_rows)
 
 
-def _union_kept(partition, weights, selected):
-    feats = []
-    for k in selected:
-        for j, w in zip(partition.clusters[k], weights[k]):
-            if w != 0.0:
-                feats.append(j)
-    return tuple(sorted(feats))
+def _cluster_choice(partition, weights, chosen):
+    """(Features kept at nonzero weight, refit column specs) of chosen clusters."""
+    cols = [(partition.clusters[k], weights[k]) for k in chosen]
+    feats = sorted(j for c, w in cols for j, wj in zip(c, w) if wj != 0.0)
+    return tuple(feats), cols
 
 
-def _rep_selections(study, inst, partition, props, cprops):
+def _rep_selections(methods, inst, partition, props, cprops):
     """Per method and size: (selected feature set, refit column specs).
 
     A (method, size) entry is absent when that size is undefined for the
     method (a proportion tie at the boundary, or too short a path).
     """
-    methods = _METHODS[study]
     out = {}
 
     if "lasso" in methods:
@@ -150,39 +144,42 @@ def _rep_selections(study, inst, partition, props, cprops):
         centries = cluster_rep_lasso(
             inst.data, partition, first_k=max(SIZES)
         ).entry_order()
-        uniform = [
-            np.full(len(c), 1.0 / len(c)) for c in partition.clusters
-        ]
+        uniform = [compute_weights(props, c, "simple")[0] for c in partition.clusters]
         for s in SIZES:
             if len(centries) >= s:
-                chosen = centries[:s]
-                cols = [(partition.clusters[k], uniform[k]) for k in chosen]
-                out[("crl", s)] = (_union_kept(partition, uniform, chosen), cols)
+                out[("crl", s)] = _cluster_choice(partition, uniform, centries[:s])
 
     scheme_methods = [m for m in methods if m.startswith("css-")]
     if scheme_methods:
         top_by_size = {s: select_top_s(cprops, s) for s in SIZES}
         for method in scheme_methods:
             scheme = method.split("-", 1)[1]
-            weights = [
-                compute_weights(props, c, scheme)[0] for c in partition.clusters
-            ]
+            weights = [compute_weights(props, c, scheme)[0] for c in partition.clusters]
             for s in SIZES:
                 chosen = top_by_size[s]
-                if chosen is None:
-                    continue
-                cols = [(partition.clusters[k], weights[k]) for k in chosen]
-                out[(method, s)] = (_union_kept(partition, weights, chosen), cols)
+                if chosen is not None:
+                    out[(method, s)] = _cluster_choice(partition, weights, chosen)
     return out
 
 
-def _run_design_study(study, reps, seed, test_n, threads, log) -> StudyResult:
-    gen = gen_sparse_instance if study in ("sparse", "averaging") else gen_weighted_instance
-    methods = _METHODS[study]
+def run_design_studies(studies, reps, seed, test_n=10000, threads=1, log=None):
+    """One StudyResult per study, each as run_study gives it, from one pass.
+
+    Per replication the instance, CV lambda, plan and selection matrix are
+    built once, and each (method, size) of the studies' methods is refit once.
+    """
+    designs = {_DESIGN.get(study) for study in studies}
+    if None in designs or len(designs) != 1:
+        raise ValueError(f"studies must share one design, got {studies!r}")
+    if reps < 1:
+        raise ValueError("need at least one replication")
+    if test_n < 2:
+        raise ValueError(f"test_n must be at least 2, got {test_n}")
+    gen = gen_sparse_instance if designs == {"sparse"} else gen_weighted_instance
+    methods = tuple(dict.fromkeys(m for study in studies for m in _METHODS[study]))
     mses: dict = {}
     sels: dict = {}
-    proxy_pattern_hits = 0
-    p = 100
+    hits = 0
 
     for r in range(reps):
         inst = gen(seed, r)
@@ -197,9 +194,9 @@ def _run_design_study(study, reps, seed, test_n, threads, log) -> StudyResult:
         proxies = inst.truth.proxy_columns
         signals = [j for j, b in enumerate(inst.truth.betas) if b != 0.0]
         if props[list(proxies)].max() < props[signals].max():
-            proxy_pattern_hits += 1
+            hits += 1
 
-        chosen = _rep_selections(study, inst, partition, props, cprops)
+        chosen = _rep_selections(methods, inst, partition, props, cprops)
         # One test set is alive at a time: drawn for the refits, freed before
         # the next replication draws its own.
         test = gen(seed, EVAL_STREAM_OFFSET + r, n=test_n)
@@ -211,7 +208,12 @@ def _run_design_study(study, reps, seed, test_n, threads, log) -> StudyResult:
         if log:
             log(f"rep {r + 1}/{reps} done")
 
-    rows = _method_size_rows(methods, mses, sels, p)
+    return tuple(_score(st, reps, seed, test_n, mses, sels, hits) for st in studies)
+
+
+def _score(study, reps, seed, test_n, mses, sels, proxy_pattern_hits):
+    methods = _METHODS[study]
+    rows = _method_size_rows(methods, mses, sels, p=100)
     summary = {
         "study": study,
         "reps": reps,
@@ -220,9 +222,7 @@ def _run_design_study(study, reps, seed, test_n, threads, log) -> StudyResult:
         "test_n": test_n,
         "proxy_props_below_top_signal_frac": proxy_pattern_hits / reps,
     }
-    stab_means = {
-        m: _mean_stability(rows, m, COMPARE_SIZES) for m in methods
-    }
+    stab_means = {m: _mean_stability(rows, m, COMPARE_SIZES) for m in methods}
     summary["mean_stability_sizes_2_8"] = stab_means
 
     if study == "sparse":

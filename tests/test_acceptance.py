@@ -35,7 +35,7 @@ from cssel.oracle import (
     second_knot_closed_form,
 )
 from cssel.simgen import EVAL_STREAM_OFFSET, gen_proxy_instance
-from cssel.studies import run_study
+from cssel.studies import run_design_studies, run_study
 from cssel.subsampling import draw_complementary_pairs, restrict
 
 pytestmark = pytest.mark.acceptance
@@ -49,15 +49,24 @@ def two_proxy_study():
 
 
 @pytest.fixture(scope="module")
-def sparse_study():
+def sparse_design_studies():
+    """The sparse and averaging studies from one shared replication pass,
+    with the wall time of that one call."""
     t0 = time.perf_counter()
-    result = run_study("sparse", reps=100, seed=0, test_n=2000)
-    return result, time.perf_counter() - t0
+    results = run_design_studies(("sparse", "averaging"), reps=100, seed=0, test_n=2000)
+    return results, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def averaging_study():
-    return run_study("averaging", reps=100, seed=0, test_n=2000)
+def sparse_study(sparse_design_studies):
+    (sparse, _), elapsed = sparse_design_studies
+    return sparse, elapsed
+
+
+@pytest.fixture(scope="module")
+def averaging_study(sparse_design_studies):
+    (_, averaging), _ = sparse_design_studies
+    return averaging
 
 
 @pytest.fixture(scope="module")

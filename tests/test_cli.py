@@ -398,6 +398,18 @@ def test_oracle_prints_closed_forms(tmp_path, capsys):
     assert run_cli("oracle", "--n", "1") == EXIT_INVALID
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag", ["--sigma-eps-sq", "--c2", "--beta-z", "--sigma-zeta-sq", "--betas"]
+)
+def test_oracle_rejects_non_finite_inputs(capsys, flag, bad):
+    args = {"--beta-z": "2.0", "--sigma-zeta-sq": "0.1,0.2", "--betas": "1.0"}
+    args[flag] = bad if flag != "--sigma-zeta-sq" else f"0.1,{bad}"
+    flat = [token for pair in args.items() for token in pair]
+    assert run_cli("oracle", "--n", "5000", *flat) == EXIT_INVALID
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_writes_study_reports(tmp_path, capsys):
     out = tmp_path / "sparse"
     assert run_cli(

@@ -417,12 +417,17 @@ def test_stop_lambda_truncates_path_exactly():
     assert checked >= 10
 
 
-def test_nan_penalties_are_rejected():
+def test_nan_penalties_are_rejected(monkeypatch):
     """NaN fails every comparison, so the sign checks must not let it through."""
     data = random_instance(np.random.default_rng(22), 30, 5)
     for bad in (np.nan, -1.0):
         with pytest.raises(ValueError, match="nonnegative"):
             fit_lasso_path(data, stop_lambda=bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit_lasso_at(data, bad)
+    monkeypatch.setattr(lasso, "kkt_residual", lambda *args: np.nan)
+    with pytest.raises(ConvergenceFailure):
+        fit_lasso_at(data, 0.1)
     path = fit_lasso_path(data)
     for bad in (np.nan, [0.1, np.nan], -1.0):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from cssel import studies
 from cssel.evaluation import METHOD_SIZE_HEADER
 from cssel.studies import (
     SIZES,
     STUDIES,
     StudyResult,
+    run_design_studies,
     run_study,
     write_study_outputs,
 )
@@ -24,16 +26,50 @@ def sparse2():
 
 
 @pytest.fixture(scope="module")
+def averaging2():
+    return run_study("averaging", reps=2, seed=11, test_n=400)
+
+
+@pytest.fixture(scope="module")
 def theorem3():
     return run_study("theorem31", reps=3, seed=11)
 
 
-def test_run_study_validates_inputs():
+def test_run_study_validates_inputs(monkeypatch):
     with pytest.raises(ValueError):
         run_study("dense", reps=2, seed=0)
     with pytest.raises(ValueError):
         run_study("sparse", reps=0, seed=0)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a replication was drawn")
+
+    monkeypatch.setattr(studies, "gen_sparse_instance", no_draw)
+    with pytest.raises(ValueError, match="test_n"):
+        run_study("sparse", reps=1, seed=0, test_n=1)
     assert set(STUDIES) == {"sparse", "averaging", "weighted", "theorem31"}
+
+
+@pytest.mark.parametrize(
+    "names",
+    [(), ("sparse", "weighted"), ("averaging", "weighted"), ("theorem31",),
+     ("sparse", "theorem31"), ("dense",)],
+)
+def test_only_studies_of_one_design_share_a_pass(names):
+    with pytest.raises(ValueError, match="one design"):
+        run_design_studies(names, reps=1, seed=0)
+
+
+def test_shared_pass_gives_each_study_its_own_run(sparse2, averaging2):
+    shared_pass = run_design_studies(
+        ("sparse", "averaging"), reps=2, seed=11, test_n=400
+    )
+    for shared, own in zip(shared_pass, (sparse2, averaging2)):
+        assert shared.study == own.study
+        assert shared.rows == own.rows
+        assert json.dumps(shared.summary, sort_keys=True) == json.dumps(
+            own.summary, sort_keys=True
+        )
 
 
 def test_sparse_rows_cover_every_method_and_size(sparse2):
@@ -74,9 +110,8 @@ def test_threads_do_not_change_study_outputs(sparse2):
     )
 
 
-def test_averaging_and_weighted_verdict_keys():
-    avg = run_study("averaging", reps=2, seed=7, test_n=300)
-    assert set(avg.summary["verdicts"]) == {
+def test_averaging_and_weighted_verdict_keys(averaging2):
+    assert set(averaging2.summary["verdicts"]) == {
         "css_simple_beats_sparse_by_1se_sizes_2_8",
         "css_weighted_beats_sparse_by_1se_sizes_2_8",
         "crl_beats_sparse_on_average_sizes_2_6",
@@ -159,9 +194,11 @@ def test_hand_built_result_round_trips(tmp_path):
 def test_design_study_holds_one_test_set_at_a_time(traced_peak):
     """Each replication's 10,000-row test set is drawn for its refits and
     freed before the next one is drawn: two replications trace a peak of at
-    most 1.5 test matrices (8 MB each)."""
+    most 1.5 test matrices (8 MB each), also when two studies share them."""
     test_x_bytes = 10000 * 100 * 8
-    _, peak = traced_peak(
-        lambda: run_study("sparse", reps=2, seed=5, test_n=10000)
-    )
-    assert peak <= 1.5 * test_x_bytes
+    for run in (
+        lambda: run_study("sparse", reps=2, seed=5, test_n=10000),
+        lambda: run_design_studies(("sparse", "averaging"), 2, 5, test_n=10000),
+    ):
+        _, peak = traced_peak(run)
+        assert peak <= 1.5 * test_x_bytes
