@@ -1,5 +1,5 @@
 """Comparator methods: the prototype lasso and the simple-average cluster
-representative lasso.
+representative lasso, whose columns come from evaluation.build_design.
 
 Plain stability selection (Meinshausen & Buehlmann; Shah & Samworth) needs
 no function of its own: it is cluster stability selection with singleton
@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import ClusterPartition
 from .data import DataSet, center_and_scale
+from .evaluation import build_design
 from .lasso import TIE_REL, LassoPath, fit_lasso_path
 
 
@@ -78,23 +79,18 @@ def protolasso(
     return fit_lasso_path(reduced, first_k=first_k), proto
 
 
-def average_representatives(data: DataSet, partition: ClusterPartition) -> np.ndarray:
-    """One simple-average column per cluster, raw columns, no rescaling."""
-    reps = np.empty((data.n, partition.K))
-    for k, c in enumerate(partition.clusters):
-        reps[:, k] = data.X[:, list(c)].mean(axis=1)
-    return reps
-
-
 def cluster_rep_lasso(
     data: DataSet, partition: ClusterPartition, first_k: int | None = None
 ) -> LassoPath:
     """Lasso path on simple-average cluster representatives.
 
-    Path feature indices refer to clusters in partition order; first_k stops
-    the path as in fit_lasso_path.
+    The columns are evaluation.build_design's uniform-weight averages of the
+    raw members, the same columns the cluster representative lasso is refit
+    on.  Path feature indices refer to clusters in partition order; first_k
+    stops the path as in fit_lasso_path.
     """
+    uniform = [(c, np.full(len(c), 1.0 / len(c))) for c in partition.clusters]
     reduced = DataSet(
-        X=average_representatives(data, partition), y=data.y, center=data.center
+        X=build_design(data.X, uniform), y=data.y, center=data.center
     )
     return fit_lasso_path(reduced, first_k=first_k)

@@ -24,7 +24,6 @@ from .core import (
     SCHEMES,
     run_css,
     select_top_s,
-    threshold_select,
 )
 from .data import DataSet
 from .dataio import (
@@ -190,7 +189,7 @@ def cmd_run(args) -> int:
         partition = correlation_clusters(data, args.cutoff)
     else:
         partition = ClusterPartition.singletons(data.p)
-    # the same checks as threshold_select and select_top_s, before the solves
+    # --tau's range and select_top_s's range for s, checked before the solves
     if args.tau is not None and not 0.0 < args.tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     if args.top is not None and not 1 <= args.top <= partition.K:
@@ -208,13 +207,11 @@ def cmd_run(args) -> int:
 
     selection = None
     if args.tau is not None:
-        chosen = threshold_select(result, args.tau)
         selection = {
             "mode": "tau",
             "tau": args.tau,
-            "clusters": [c.cluster for c in chosen],
-            "kept_features": [
-                [int(column_ids[j]) for j in c.kept] for c in chosen
+            "clusters": [
+                k for k in range(partition.K) if result.cluster_props[k] >= args.tau
             ],
         }
     elif args.top is not None:
@@ -224,11 +221,6 @@ def cmd_run(args) -> int:
             "s": args.top,
             "defined": chosen is not None,
             "clusters": list(chosen) if chosen is not None else None,
-            "kept_features": (
-                [[int(column_ids[j]) for j in result.kept_features(k)] for k in chosen]
-                if chosen is not None
-                else None
-            ),
         }
 
     write_css_result(args.out, result, selection=selection, column_ids=column_ids)

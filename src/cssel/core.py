@@ -1,10 +1,11 @@
 """Cluster stability selection.
 
 Run a base selector on every half sample of a complementary-pairs plan,
-count how often each feature and each cluster is hit, turn the per-feature
-counts into within-cluster weights, and emit one representative column per
-cluster.  Thresholding or ranking the cluster proportions then gives the
-selected model.
+count how often each feature and each cluster is hit, and turn the
+per-feature counts into within-cluster weights.  Thresholding or ranking
+the cluster proportions then gives the selected model; a cluster's
+representative column, the weighted average of its members, is built
+where it is used, by evaluation.build_design.
 """
 
 from __future__ import annotations
@@ -208,26 +209,15 @@ def compute_weights(
     return argmax / argmax.sum(), bool(top == 0.0)
 
 
-def cluster_representative(
-    data: DataSet, cluster: tuple[int, ...], weights: np.ndarray
-) -> np.ndarray:
-    """Weighted average of the cluster's raw columns."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(cluster),):
-        raise ValueError("one weight per cluster member required")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must lie on the simplex")
-    return data.X[:, list(cluster)] @ w
-
-
 @dataclass(frozen=True)
 class CssResult:
     """Everything the selection run produced.
 
     feature_props and cluster_props are the per-feature and per-cluster hit
-    fractions over all 2B half samples; weights and representatives follow
-    the chosen scheme; weight_fallback marks clusters where the weighted
-    scheme degraded to uniform (or a sparse argmax carried no information).
+    fractions over all 2B half samples; weights, one simplex vector per
+    cluster over its members, follow the chosen scheme; weight_fallback
+    marks clusters where the weighted scheme degraded to uniform (or a
+    sparse argmax carried no information).
     """
 
     partition: ClusterPartition
@@ -235,7 +225,6 @@ class CssResult:
     cluster_props: np.ndarray
     weights: tuple[np.ndarray, ...]
     weight_fallback: tuple[bool, ...]
-    representatives: np.ndarray
     scheme: str
     B: int
     base: str
@@ -313,7 +302,7 @@ def run_css(
         lambdas = (cross_validate_lambda(data, seed=seed),)
     S = run_base_selections(data, plan, lambdas=lambdas, threads=threads)
     return summarize_records(
-        data, partition, S, scheme,
+        partition, S, scheme,
         base="fixed-lambda-set",
         lambdas=tuple(float(l) for l in lambdas),
         seed=seed,
@@ -321,7 +310,6 @@ def run_css(
 
 
 def summarize_records(
-    data: DataSet,
     partition: ClusterPartition,
     S: np.ndarray,
     scheme: str,
@@ -334,42 +322,22 @@ def summarize_records(
     cprops = cluster_proportions(S, partition)
     weights = []
     fallback = []
-    reps = np.empty((data.n, partition.K))
-    for k, c in enumerate(partition.clusters):
+    for c in partition.clusters:
         w, flag = compute_weights(props, c, scheme)
         weights.append(w)
         fallback.append(flag)
-        reps[:, k] = cluster_representative(data, c, w)
     return CssResult(
         partition=partition,
         feature_props=props,
         cluster_props=cprops,
         weights=tuple(weights),
         weight_fallback=tuple(fallback),
-        representatives=reps,
         scheme=scheme,
         B=len(S) // 2,
         base=base,
         lambdas=lambdas,
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class SelectedCluster:
-    cluster: int
-    kept: tuple[int, ...]
-
-
-def threshold_select(result: CssResult, tau: float) -> list[SelectedCluster]:
-    """Clusters whose hit fraction reaches tau, with their kept features."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
-    out = []
-    for k in range(result.partition.K):
-        if result.cluster_props[k] >= tau:
-            out.append(SelectedCluster(cluster=k, kept=result.kept_features(k)))
-    return out
 
 
 def select_top_s(cluster_props: np.ndarray, s: int) -> tuple[int, ...] | None:

@@ -177,8 +177,11 @@ def write_css_result(
     """Write css_result.json and css_result.csv into out_dir.
 
     column_ids maps the run's reduced feature indexes back to original data
-    columns when screening dropped some ("columns"); selection is an optional
-    JSON-serializable block describing the thresholded or ranked choice.
+    columns when screening dropped some ("columns"); this is the one place
+    that mapping is applied.  selection is an optional JSON-serializable
+    block describing the thresholded or ranked choice; its "clusters" lists
+    cluster indexes (None when no choice is defined), and their kept
+    features, in column ids, are written beside them as "kept_features".
     The JSON holds result.to_json_dict() plus these two and nothing else.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -191,6 +194,10 @@ def write_css_result(
     doc["kept_features"] = [
         [int(ids[j]) for j in kept] for kept in doc["kept_features"]
     ]
+    if selection is not None:
+        chosen = selection["clusters"]
+        kept = None if chosen is None else [doc["kept_features"][k] for k in chosen]
+        selection = dict(selection, kept_features=kept)
     doc["selection"] = selection
     with open(os.path.join(out_dir, "css_result.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

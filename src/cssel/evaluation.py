@@ -20,7 +20,11 @@ from .lasso import RankDeficient, _ols_solve
 
 
 def build_design(X: np.ndarray, columns) -> np.ndarray:
-    """Materialize column specs against a raw data matrix."""
+    """Materialize column specs against a raw data matrix.
+
+    The one builder of cluster representative columns: the refits here and
+    baselines.cluster_rep_lasso take theirs from it.
+    """
     X = np.asarray(X, dtype=float)
     cols = []
     for spec in columns:

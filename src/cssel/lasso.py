@@ -88,7 +88,8 @@ def kkt_residual(data: DataSet, coefficients: np.ndarray, lam) -> float:
     c = (U.T @ (y[:, None] - U @ (b * norms).T)).T / data.n
     active = b != 0.0
     viol = np.maximum(np.abs(c) - lams, 0.0)
-    viol[active] = np.abs(c - lams * np.sign(b))[active]
+    # copysign, not lams * sign(b): an infinite lam times a zero sign is NaN
+    viol[active] = np.abs(c - np.copysign(lams, b))[active]
     return float(viol.max()) if viol.size else 0.0
 
 

@@ -278,33 +278,20 @@ def second_knot_closed_form(data: DataSet, entered: int) -> SecondKnot:
     return SecondKnot(tuple(cands), second, lam2)
 
 
-def error_bound_rhs(
-    theta: float, tau: float, expected_base: float, kind: str = "selected"
-) -> float:
-    """Error-control bounds for thresholded cluster selection.
+def error_bound_rhs(theta: float, tau: float, expected_base: float) -> float:
+    """Error-control bound for thresholded cluster selection.
 
-    kind="selected" (tau in (1/2, 1]): upper bound theta/(2 tau - 1) * E on
-    the expected count of selected low-probability clusters.
-    kind="missed" (tau in [0, 1/2)): upper bound (1-theta)/(1-2 tau) * E on
-    the expected count of missed high-probability clusters.
-    Degenerate denominators return +inf.
+    For tau in (1/2, 1]: the upper bound theta/(2 tau - 1) * E on the
+    expected count of selected low-probability clusters.  A degenerate
+    denominator returns +inf.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     if expected_base < 0:
         raise ValueError("expected count must be nonnegative")
-    if kind == "selected":
-        if not 0.5 < tau <= 1.0:
-            raise ValueError("selected-count bound needs tau in (1/2, 1]")
-        denom = 2.0 * tau - 1.0
-        scale = theta
-    elif kind == "missed":
-        if not 0.0 <= tau < 0.5:
-            raise ValueError("missed-count bound needs tau in [0, 1/2)")
-        denom = 1.0 - 2.0 * tau
-        scale = 1.0 - theta
-    else:
-        raise ValueError(f"unknown bound kind {kind!r}")
+    if not 0.5 < tau <= 1.0:
+        raise ValueError("selected-count bound needs tau in (1/2, 1]")
+    denom = 2.0 * tau - 1.0
     if denom < 1e-12:
         return math.inf
-    return scale / denom * expected_base
+    return theta / denom * expected_base

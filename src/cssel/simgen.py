@@ -186,8 +186,7 @@ def gen_two_proxy_instance(
     beta_Z lies outside vote_splitting_interval(n, sigma_eps_sq), whose lower
     end is 1 + 10/sqrt(n log n).  The theorem's own text is not in this
     repository (see the README).  n_rows draws a different number of rows
-    while keeping the noise variance tied to the nominal n (used for
-    half-size pilot draws).
+    while keeping the noise variance tied to the nominal n.
     """
     if sigma_eps_sq < 0:
         raise ValueError("sigma_eps_sq must be nonnegative")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cssel.baselines import (
-    average_representatives,
     cluster_rep_lasso,
     marginal_prototypes,
     protolasso,
@@ -109,19 +108,10 @@ def test_first_k_stops_the_reduced_paths_on_a_prefix():
         assert stopped.entry_order()[:11] == full.entry_order()[:11]
 
 
-def test_average_representatives_are_column_means():
-    data = instance(10, n=30, p=5)
-    part = ClusterPartition(clusters=((0, 2), (1, 3, 4)))
-    reps = average_representatives(data, part)
-    np.testing.assert_allclose(reps[:, 0], data.X[:, [0, 2]].mean(axis=1))
-    np.testing.assert_allclose(reps[:, 1], data.X[:, [1, 3, 4]].mean(axis=1))
-
-
 def test_cluster_rep_lasso_matches_manual_reduction():
     data = instance(11, n=60, p=6, strong=(0, 1))
     part = ClusterPartition(clusters=((0, 1), (2, 3), (4, 5)))
     path = cluster_rep_lasso(data, part)
-    manual = fit_lasso_path(
-        DataSet(X=average_representatives(data, part), y=data.y)
-    )
+    means = [data.X[:, list(c)] @ np.full(len(c), 1.0 / len(c)) for c in part.clusters]
+    manual = fit_lasso_path(DataSet(X=np.column_stack(means), y=data.y))
     assert path.knots == manual.knots

@@ -1,6 +1,7 @@
 """The `css` command line tool: subcommands, exit codes, output files."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from cssel.oracle import (
     proxy_noise_variance,
     vote_splitting_interval,
 )
-from cssel.simgen import gen_sparse_instance
+from cssel.simgen import gen_sparse_instance, instance_to_csv
 
 
 def write_xy(tmp_path, seed=0, n=40, p=4, header=True):
@@ -290,6 +291,61 @@ def test_run_on_wide_data_exits_ok(tmp_path, monkeypatch):
         ) == EXIT_OK
     assert len(selections) == 2
     assert all(S.sum(axis=1).max() <= 30 for S in selections)
+
+
+# sha256 of (css_result.json, css_result.csv) for each mode below
+RUN_DIGESTS = {
+    "tau": (
+        "cb32e25804505ac63ddc58edd0472df7290e5dcac921100b85c252fd5bc9f7ec",
+        "dfd90bc451453756224df19853bf3c6f253b6ad6718c418ba34cac0de90764ed",
+    ),
+    "top": (
+        "90d3d78ddb7dbbe35114b9c13d1f6cd6ed409d82a4194ea5c462fa0f5aa13c8e",
+        "9d9b42d3c3e951f49671d8163da3a9c0c574bff656f828cc4e3c29e09b1604dd",
+    ),
+}
+
+
+def test_run_output_bytes_are_pinned(tmp_path):
+    """The quick-start input at a fixed --lambda, in --tau mode with
+    --auto-cluster and in --top mode with a clusters file that screens
+    column 5, writes result files of pinned bytes; each selected cluster
+    keeps its nonzero-weight members, in original column ids."""
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    instance_to_csv(gen_sparse_instance(0, 0), xp, yp)
+    cj = tmp_path / "clusters.json"
+    proxies = [j for j in range(10) if j != 5]
+    cj.write_text(json.dumps(
+        {"clusters": [proxies] + [[j] for j in range(10, 100)],
+         "screened_columns": [5]}
+    ))
+    modes = {
+        "tau": ["--auto-cluster", "--cutoff", "0.5", "--tau", "0.6"],
+        "top": ["--clusters", cj, "--top", "3"],
+    }
+    for mode, extra in modes.items():
+        out = tmp_path / mode
+        assert run_cli(
+            "run", "--x", xp, "--y", yp, "--out", out, "--scheme", "weighted",
+            "--lambda", "0.05", "--B", "50", "--seed", "0", *extra,
+        ) == EXIT_OK
+        json_bytes = (out / "css_result.json").read_bytes()
+        csv_bytes = (out / "css_result.csv").read_bytes()
+        assert (
+            hashlib.sha256(json_bytes).hexdigest(),
+            hashlib.sha256(csv_bytes).hexdigest(),
+        ) == RUN_DIGESTS[mode]
+
+        sel = json.loads(json_bytes)["selection"]
+        assert sel["mode"] == mode and sel["clusters"]
+        rows = list(csv.reader(csv_bytes.decode().splitlines()))[1:]
+        nonzero = [
+            [int(f) for f, k, _, _, w in rows if int(k) == c and float(w) != 0.0]
+            for c in sel["clusters"]
+        ]
+        assert sel["kept_features"] == nonzero
+    assert 5 not in sum(sel["kept_features"], [])
+    assert max(sum(sel["kept_features"], [])) > 5  # ids past the screened one
 
 
 def test_css_seed_env_var_sets_the_default(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from cssel.core import (
     CssResult,
     HalfSampleFailure,
     cluster_proportions,
-    cluster_representative,
     compute_weights,
     feature_proportions,
     run_base_selections,
@@ -17,7 +16,6 @@ from cssel.core import (
     select_top_s,
     simultaneous_cluster_proportions,
     summarize_records,
-    threshold_select,
 )
 from cssel.data import DataSet
 from cssel.lasso import ConvergenceFailure, cross_validate_lambda, fit_lasso_at
@@ -156,7 +154,7 @@ def test_reductions_match_per_half_set_loops():
     assert 0 < both.min() and clus.max() < 1  # neither reduction is trivial
 
 
-# weights and representatives
+# weights
 
 
 def test_compute_weights_by_scheme():
@@ -190,19 +188,6 @@ def test_compute_weights_flag_uninformative_clusters():
         compute_weights(props, (), "simple")
 
 
-def test_cluster_representative_averages_raw_columns():
-    data = small_instance(0, n=20, p=4)
-    w = np.array([0.25, 0.75])
-    rep = cluster_representative(data, (1, 3), w)
-    np.testing.assert_allclose(rep, 0.25 * data.X[:, 1] + 0.75 * data.X[:, 3])
-    with pytest.raises(ValueError):
-        cluster_representative(data, (1, 3), np.array([0.5]))
-    with pytest.raises(ValueError):
-        cluster_representative(data, (1, 3), np.array([-0.2, 1.2]))
-    with pytest.raises(ValueError):
-        cluster_representative(data, (1, 3), np.array([0.6, 0.6]))
-
-
 # ranking helpers
 
 
@@ -216,24 +201,6 @@ def test_select_top_s_returns_none_on_boundary_tie():
         select_top_s(props, 0)
     with pytest.raises(ValueError):
         select_top_s(props, 5)
-
-
-def test_threshold_select_reports_kept_members():
-    part = ClusterPartition(clusters=((0, 1), (2,)))
-    S = selections(3, {0}, {0, 2})
-    data = small_instance(1, n=20, p=3)
-    res = summarize_records(
-        data, part, S, "sparse", base="fixed-lambda-set",
-        lambdas=(0.1,), seed=0,
-    )
-    picked = threshold_select(res, tau=0.9)
-    assert [s.cluster for s in picked] == [0]
-    assert picked[0].kept == (0,)  # zero-weight member 1 is dropped
-    assert [s.cluster for s in threshold_select(res, tau=0.5)] == [0, 1]
-    with pytest.raises(ValueError):
-        threshold_select(res, tau=0.0)
-    with pytest.raises(ValueError):
-        threshold_select(res, tau=1.5)
 
 
 # base selections
@@ -334,7 +301,6 @@ def test_run_css_produces_consistent_result():
     assert isinstance(res, CssResult)
     assert res.feature_props.shape == (6,)
     assert res.cluster_props.shape == (4,)
-    assert res.representatives.shape == (data.n, 4)
     # any-member rule: a cluster is hit at least as often as each member
     for k, c in enumerate(part.clusters):
         assert res.cluster_props[k] >= res.feature_props[list(c)].max() - 1e-15
@@ -378,9 +344,8 @@ def test_result_serialization_round_trip():
 def test_weight_fallback_marks_never_selected_clusters():
     part = ClusterPartition(clusters=((0, 1), (2,)))
     S = selections(3, {2}, {2})
-    data = small_instance(12, n=20, p=3)
     res = summarize_records(
-        data, part, S, "weighted", base="fixed-lambda-set",
+        part, S, "weighted", base="fixed-lambda-set",
         lambdas=(0.1,), seed=0,
     )
     assert res.weight_fallback == (True, False)

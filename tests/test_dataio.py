@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cssel.core import ClusterPartition, summarize_records
-from cssel.data import DataSet
 from cssel.dataio import (
     FileFormatError,
     clusters_json_text,
@@ -134,20 +133,20 @@ def test_css_result_files_translate_reduced_indexes(tmp_path):
     part = ClusterPartition(clusters=((0, 1), (2,)))
     # one pair: half A selects features 0 and 2, half Ac feature 0
     S = np.array([[True, False, True], [True, False, False]])
-    rng = np.random.default_rng(0)
-    data = DataSet(X=rng.standard_normal((10, 3)), y=rng.standard_normal(10))
     res = summarize_records(
-        data, part, S, "sparse", base="fixed-lambda-set",
+        part, S, "sparse", base="fixed-lambda-set",
         lambdas=(0.2,), seed=3,
     )
     out = tmp_path / "run"
-    write_css_result(out, res, selection={"tau": 0.5}, column_ids=[0, 2, 4])
+    selection = {"mode": "tau", "tau": 0.5, "clusters": [0, 1]}
+    write_css_result(out, res, selection=selection, column_ids=[0, 2, 4])
     with open(out / "css_result.json") as fh:
         doc = json.load(fh)
     assert doc["columns"] == [0, 2, 4]
     assert doc["clusters"] == [[0, 2], [4]]
     assert doc["kept_features"] == [[0], [4]]
-    assert doc["selection"] == {"tau": 0.5}
+    # the selection's clusters keep their nonzero-weight members, in column ids
+    assert doc["selection"] == dict(selection, kept_features=[[0], [4]])
     assert doc["base"] == "fixed-lambda-set"
     assert doc["feature_props"] == [1.0, 0.0, 0.5]
     with open(out / "css_result.csv", newline="") as fh:
@@ -162,10 +161,8 @@ def test_css_result_files_default_to_identity_columns(tmp_path):
     part = ClusterPartition.singletons(2)
     # one pair, both halves select feature 1
     S = np.array([[False, True], [False, True]])
-    rng = np.random.default_rng(1)
-    data = DataSet(X=rng.standard_normal((8, 2)), y=rng.standard_normal(8))
     res = summarize_records(
-        data, part, S, "simple", base="fixed-lambda-set",
+        part, S, "simple", base="fixed-lambda-set",
         lambdas=(0.2,), seed=0,
     )
     write_css_result(tmp_path / "d", res)

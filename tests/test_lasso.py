@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,17 @@ def test_nan_penalties_are_rejected(monkeypatch):
     for bad in (np.nan, [0.1, np.nan], -1.0):
         with pytest.raises(ValueError, match="nonnegative"):
             path.coefficients_at(bad)
+
+
+def test_infinite_penalty_gives_the_zero_fit_without_warnings():
+    """The KKT residual signs lambda by copysign, so an infinite lambda never
+    meets an inf * 0 product on the zero coefficients."""
+    data = random_instance(np.random.default_rng(0), 30, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_lasso_at(data, np.inf)
+    assert np.all(fit.coefficients == 0.0) and fit.support == frozenset()
+    assert fit.kkt == 0.0
 
 
 def test_stop_lambda_above_first_knot_yields_empty_path():

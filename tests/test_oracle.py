@@ -282,16 +282,8 @@ def test_error_bound_values_and_limits():
     assert error_bound_rhs(0.5, 1.0, 10.0) == pytest.approx(5.0, rel=1e-15)
     assert error_bound_rhs(0.3, 0.8, 6.0) == pytest.approx(0.3 / 0.6 * 6.0, rel=1e-14)
     assert error_bound_rhs(0.5, 0.5 + 1e-14, 1.0) == math.inf
-    assert error_bound_rhs(0.4, 0.2, 5.0, kind="missed") == pytest.approx(
-        0.6 / 0.6 * 5.0, rel=1e-14
-    )
-    assert error_bound_rhs(0.4, 0.5 - 1e-14, 1.0, kind="missed") == math.inf
 
 
 def test_error_bound_rejects_invalid_tau():
     with pytest.raises(ValueError):
-        error_bound_rhs(0.5, 0.4, 1.0)  # selected needs tau > 1/2
-    with pytest.raises(ValueError):
-        error_bound_rhs(0.5, 0.6, 1.0, kind="missed")  # missed needs tau < 1/2
-    with pytest.raises(ValueError):
-        error_bound_rhs(0.5, 0.8, 1.0, kind="bogus")
+        error_bound_rhs(0.5, 0.4, 1.0)  # the bound needs tau > 1/2
