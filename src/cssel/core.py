@@ -10,7 +10,6 @@ where it is used, by evaluation.build_design.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +142,8 @@ def run_base_selections(
             raise HalfSampleFailure(pair, tag, exc) from exc
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return np.array(list(pool.map(solve, plan.halves())))
     return np.array([solve(item) for item in plan.halves()])

@@ -2,7 +2,9 @@
 
 OLS refit on selected columns (raw features or weighted cluster
 representatives), squared error against the latent mean, and the Nogueira
-stability metric with its normal-approximation confidence interval.
+stability metric with its normal-approximation confidence interval.  The
+refits' pivoted QR is lasso's dgeqp3; scipy.special loads only for the
+interval's z value.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import DataSet
 from .lasso import RankDeficient, _ols_solve
@@ -113,8 +114,11 @@ def nogueira_stability_ci(
 ) -> tuple[float, float, float] | None:
     """(estimate, lo, hi) by the metric's influence-function variance.
 
-    The normal interval is cut at 1, which the metric cannot exceed.
+    The normal interval is cut at 1, which the metric cannot exceed.  Its z
+    value comes from scipy.special's ndtri, imported here on first use.
     """
+    from scipy.special import ndtri
+
     S = _check_selection_matrix(S)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")

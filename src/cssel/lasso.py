@@ -18,20 +18,56 @@ tied entrants together and keeps out entrants in the span of the active
 columns, so it runs on duplicated and collinear columns too.  The package
 reads every support at a given lambda off fixed_lambda_supports;
 fit_lasso_at, descent from zero, is the independent check on it.
+
+The four LAPACK routines used here (dpotrf, dpotrs and dtrtrs in the path,
+dgeqp3 in the least-squares refit) come from scipy's _flapack extension,
+loaded from its file without the scipy.linalg package.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .data import DataSet, center_and_scale
 from .rng import DOMAIN_CV, stream_rng
 from .subsampling import restrict
+
+
+def _load_flapack():
+    """scipy's _flapack extension, loaded from its file.
+
+    The package init of scipy.linalg loads scipy's array-API layer, about
+    5 MB and 0.05 s more than the one extension this module calls.  The
+    module is registered under its own name, so a later import of
+    scipy.linalg reuses it and hands out the same routine objects.  Without
+    the file, scipy.linalg.lapack serves the same routines.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    linalg = os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg")
+    spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dtrtrs, dgeqp3 = (
+    _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs, _flapack.dgeqp3
+)
 
 KKT_TOL = 1e-8
 CD_TOL = 1e-10
@@ -539,13 +575,21 @@ def _ols_solve(
     """Least squares with rank diagnosis via pivoted QR.
 
     Returns (coefficients, None) on full rank, else (zeros, design-column
-    indices past the numerical rank in pivot order).
+    indices past the numerical rank in pivot order).  The factorization is
+    dgeqp3 called as scipy.linalg.qr(pivoting=True) calls it: a non-finite
+    design raises ValueError, then a workspace query and the factorization.
+    Only diag(R) and the pivots are read, so Q is never formed.
     """
     n, m = design.shape
     if m == 0:
         return np.zeros(0), None
-    _, R, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
+    design = np.asarray_chkfinite(design)
+    lwork = int(dgeqp3(design, lwork=-1)[-2][0])
+    qr, jpvt, _, _, info = dgeqp3(design, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqp3")
+    piv = jpvt - 1
+    diag = np.abs(np.diag(qr))
     tol = max(n, m) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
     if rank < m:

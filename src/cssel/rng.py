@@ -6,12 +6,14 @@ of the package (subsample plans, CV shuffles, each simulation family) disjoint
 even when the user passes the same seed everywhere, and the index word gives
 each pair / replication its own stream so work can be scheduled in any order,
 or in parallel, with identical output.
+
+Normals come from scipy.special's ndtri, imported on the first draw, so a
+process that draws no normals (css run) never loads scipy.special.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -61,6 +63,8 @@ def standard_normal(
     of the stream (more only on a rejection), and nothing is buffered
     between blocks.
     """
+    from scipy.special import ndtri
+
     if (size is None) == (out is None):
         raise ValueError("give exactly one of size and out")
     if out is None:

@@ -329,6 +329,16 @@ def _ge(a: float | None, b: float | None) -> bool:
     return a is not None and b is not None and a >= b
 
 
+def _bound_is_vacuous(theta: float, tau: float) -> bool:
+    """Whether the error-bound check cannot fail.
+
+    Each cluster at or above tau adds at least error_bound_rhs(theta, tau,
+    tau) to the right side; when that is at least 1, its own count on the
+    left, the left side can never exceed the right.
+    """
+    return error_bound_rhs(theta, tau, tau) >= 1.0
+
+
 def _run_two_proxy_study(reps, seed, threads=1, log=None) -> StudyResult:
     # The design, and the error-bound check's threshold and its evaluated and
     # pilot replications; summary.json records each.
@@ -423,6 +433,7 @@ def _run_two_proxy_study(reps, seed, threads=1, log=None) -> StudyResult:
             "mean_gap_lhs_minus_rhs": float(diffs.mean()),
             "se_gap": bound_se,
             "holds_within_3se": bool(diffs.mean() <= 3.0 * bound_se),
+            "vacuous": _bound_is_vacuous(theta, tau),
         },
         "verdicts": {
             "proxy0_then_direct_in_band": 0.33 <= f_02 <= 0.55,

@@ -19,7 +19,7 @@ from cssel.clustering import (
     single_linkage_clusters,
 )
 from cssel.data import DataSet
-from cssel.simgen import gen_sparse_instance
+from cssel.simgen import gen_sparse_instance, instance_to_csv
 
 
 def union_find_components(D, cutoff):
@@ -182,18 +182,46 @@ def test_correlation_clusters_hold_no_p_by_p_matrix(traced_peak):
     assert peak < p * p * 8 / 4
 
 
-def test_the_cli_and_studies_do_not_import_scipy_sparse():
+def _python_with_src(code):
+    """Run python -c code with this checkout's src first on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def test_the_cli_and_studies_do_not_import_scipy_sparse():
     code = (
         "import sys, cssel.cli, cssel.studies; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _python_with_src(code).stdout.strip() == "[]"
+
+
+def test_css_run_loads_no_scipy_special_and_only_flapack_of_scipy_linalg(tmp_path):
+    """The CSV is written here: simgen draws normals, which load ndtri."""
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    instance_to_csv(gen_sparse_instance(0, 0), xp, yp)
+    argv = ["run", "--x", str(xp), "--y", str(yp), "--auto-cluster", "--cutoff",
+            "0.5", "--tau", "0.6", "--B", "10", "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, cssel.cli, cssel.studies; "
+        f"assert cssel.cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'special'], ['scipy', 'linalg'])))"
     )
-    assert out.stdout.strip() == "[]"
+    assert _python_with_src(code).stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_lasso_routines_are_the_scipy_linalg_lapack_routines():
+    from scipy.linalg import lapack
+
+    from cssel import lasso
+
+    for name in ("dpotrf", "dpotrs", "dtrtrs", "dgeqp3"):
+        assert getattr(lasso, name) is getattr(lapack, name)
 
 
 def test_single_linkage_cutoff_is_strict():

@@ -19,6 +19,7 @@ from cssel.lasso import (
     InsufficientPath,
     LassoPath,
     _border,
+    _ols_solve,
     cross_validate_lambda,
     default_lambda_grid,
     fit_lasso_at,
@@ -930,3 +931,35 @@ def test_only_lasso_binds_coordinate_descent():
     functions = [f for f in vars(lasso).values() if inspect.isfunction(f)]
     callers = {f.__name__ for f in functions if "_cd_solve" in names_read(f)}
     assert callers == {"fit_lasso_at"}
+
+
+def _qr_ols_solve(design, y):
+    """Reference: _ols_solve through scipy.linalg.qr, Q and all."""
+    from scipy.linalg import qr
+
+    n, m = design.shape
+    _, R, piv = qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    tol = max(n, m) * np.finfo(float).eps * diag[0]
+    rank = int(np.sum(diag > tol))
+    if rank < m:
+        return np.zeros(m), tuple(int(k) for k in piv[rank:])
+    return np.linalg.lstsq(design, y, rcond=None)[0], None
+
+
+@pytest.mark.parametrize("shape", ["full", "duplicate", "wide"])
+def test_ols_solve_matches_scipy_pivoted_qr(shape):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 6) if shape != "wide" else (5, 8))
+    if shape == "duplicate":
+        X[:, 4] = X[:, 1]
+    design = np.column_stack([np.ones(len(X)), X])
+    y = rng.standard_normal(len(X))
+    coef, offending = _ols_solve(design, y)
+    ref_coef, ref_offending = _qr_ols_solve(design, y)
+    assert offending == ref_offending
+    assert (offending is None) == (shape == "full")
+    assert np.array_equal(coef, ref_coef)
+    design[2, 3] = np.nan
+    with pytest.raises(ValueError):
+        _ols_solve(design, y)

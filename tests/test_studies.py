@@ -149,6 +149,14 @@ def test_two_proxy_study_tallies_entry_pairs(theorem3):
     }
     bc = s["bound_check"]
     assert bc["tau"] == 0.8 and 0.0 <= bc["theta_pilot"] <= 1.0
+    assert bc["vacuous"] == studies._bound_is_vacuous(bc["theta_pilot"], bc["tau"])
+
+
+def test_bound_check_is_vacuous_from_theta_three_quarters_at_tau_0_8():
+    """At tau = 0.8 a selected cluster adds theta/0.6 * 0.8 >= 1 to the right
+    side once theta >= 0.75, so the check cannot fail."""
+    assert studies._bound_is_vacuous(1.0, 0.8)
+    assert not studies._bound_is_vacuous(0.5, 0.8)
 
 
 def test_write_outputs_for_design_study(tmp_path, sparse2):
