@@ -17,7 +17,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .clustering import ConstantColumn, correlation_clusters, maf_screen
+from .clustering import (
+    MAF_THRESHOLD,
+    ConstantColumn,
+    correlation_clusters,
+    maf_screen,
+)
 from .core import (
     ClusterPartition,
     HalfSampleFailure,
@@ -127,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--maf",
         type=float,
         default=None,
-        help="minor-category frequency threshold (with --binary; default 0.01)",
+        help="minor-category frequency threshold (with --binary; default "
+        f"{MAF_THRESHOLD})",
     )
     clu.add_argument(
         "--binary",
@@ -244,12 +250,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    X, names = read_matrix_csv(args.x)
+    X = read_matrix_csv(args.x)
     screened: list[int] = []
     kept = list(range(X.shape[1]))
     if args.binary:
-        threshold = 0.01 if args.maf is None else args.maf
-        kept = list(maf_screen(X, threshold))
+        kept = list(maf_screen(X) if args.maf is None else maf_screen(X, args.maf))
         screened = sorted(set(range(X.shape[1])) - set(kept))
         X = X[:, kept]
     elif args.maf is not None:
@@ -267,9 +272,9 @@ def cmd_cluster(args) -> int:
         ) from None
     clusters = [[kept[j] for j in c] for c in partition.clusters]
     if args.out:
-        write_clusters_json(args.out, clusters, names=None, screened=screened)
+        write_clusters_json(args.out, clusters, screened=screened)
     else:
-        sys.stdout.write(clusters_json_text(clusters, names=None, screened=screened))
+        sys.stdout.write(clusters_json_text(clusters, screened=screened))
     return EXIT_OK
 
 

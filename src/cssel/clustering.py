@@ -16,6 +16,7 @@ from .core import ClusterPartition
 from .data import DataSet, center_and_scale
 
 BLOCK = 256  # columns of correlations computed per product
+MAF_THRESHOLD = 0.01  # maf_screen's default, and so css cluster --binary's
 
 
 class ConstantColumn(ValueError):
@@ -145,7 +146,9 @@ def _partition(p: int, heads: np.ndarray, tails: np.ndarray) -> ClusterPartition
     )
 
 
-def maf_screen(binary_matrix: np.ndarray, threshold: float = 0.01) -> tuple[int, ...]:
+def maf_screen(
+    binary_matrix: np.ndarray, threshold: float = MAF_THRESHOLD
+) -> tuple[int, ...]:
     """Columns whose minor-category frequency reaches the threshold.
 
     Keeps column j when min(mean_j, 1 - mean_j) >= threshold.

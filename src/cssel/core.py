@@ -2,10 +2,12 @@
 
 Run a base selector on every half sample of a complementary-pairs plan,
 count how often each feature and each cluster is hit, and turn the
-per-feature counts into within-cluster weights.  Thresholding or ranking
-the cluster proportions then gives the selected model; a cluster's
-representative column, the weighted average of its members, is built
-where it is used, by evaluation.build_design.
+per-feature counts into within-cluster weights.  The base selector is the
+lasso at fixed penalties (given `lambdas`) or the first k entrants of the
+lasso path (given `first_k`).  Thresholding or ranking the cluster
+proportions then gives the selected model; a cluster's representative
+column, the weighted average of its members, is built where it is used,
+by evaluation.build_design.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .lasso import (
 from .subsampling import SubsamplePlan, draw_complementary_pairs, restrict
 
 SCHEMES = ("weighted", "simple", "sparse")
-BASES = ("fixed-lambda-set", "first-k-path")
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ def run_base_selections(
     data: DataSet,
     plan: SubsamplePlan,
     lambdas=None,
-    base: str = "fixed-lambda-set",
     first_k: int | None = None,
     threads: int = 1,
 ) -> np.ndarray:
@@ -108,24 +108,25 @@ def run_base_selections(
     selected feature j.  With summarize_records this is the route for a
     hand-built plan or the first-k base, which run_css does not take.
 
-    base "fixed-lambda-set": union of lasso supports over the given lambdas,
-    each finite and nonnegative.
-    base "first-k-path": the first `first_k` features to enter the path.
+    Exactly one of `lambdas` and `first_k` names the base.  lambdas, each
+    finite and nonnegative: the fixed-lambda-set base, the union of the
+    lasso supports over them.  first_k: the first-k-path base, the first
+    `first_k` features to enter the path.
 
     The one place where half samples are cut from `data` and dispatched,
     serially or on a pool of `threads` threads.  A failure on a half is
     re-raised as HalfSampleFailure naming its pair and tag ("A" or "Ac").
     """
-    if base not in BASES:
-        raise ValueError(f"base must be one of {BASES}, got {base!r}")
-    if base == "fixed-lambda-set":
-        if lambdas is None or len(tuple(lambdas)) == 0:
-            raise ValueError("fixed-lambda-set base needs a nonempty lambda list")
+    if (lambdas is None) == (first_k is None):
+        raise ValueError("give exactly one of lambdas and first_k")
+    if lambdas is not None:
         lambdas = tuple(float(l) for l in lambdas)
+        if not lambdas:
+            raise ValueError("lambdas must be a nonempty list")
         if not all(0.0 <= l < np.inf for l in lambdas):
             raise ValueError(f"lambdas must be finite and nonnegative, got {lambdas}")
-    if base == "first-k-path" and (first_k is None or first_k < 1):
-        raise ValueError("first-k-path base needs a positive first_k")
+    elif first_k < 1:
+        raise ValueError(f"first_k must be positive, got {first_k}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
@@ -133,7 +134,7 @@ def run_base_selections(
         (pair, tag), rows = item
         half = restrict(data, rows)
         try:
-            if base == "fixed-lambda-set":
+            if lambdas is not None:
                 return fixed_lambda_supports(half, lambdas).any(axis=0)
             row = np.zeros(half.p, dtype=bool)
             row[first_entrants(half, first_k)] = True
@@ -218,7 +219,8 @@ class CssResult:
     fractions over all 2B half samples; weights, one simplex vector per
     cluster over its members, follow the chosen scheme; weight_fallback
     marks clusters where the weighted scheme degraded to uniform (or a
-    sparse argmax carried no information).
+    sparse argmax carried no information).  lambdas is None under the
+    first-k-path base.
     """
 
     partition: ClusterPartition
@@ -228,7 +230,6 @@ class CssResult:
     weight_fallback: tuple[bool, ...]
     scheme: str
     B: int
-    base: str
     lambdas: tuple[float, ...] | None
     seed: int
 
@@ -241,7 +242,9 @@ class CssResult:
     def to_json_dict(self) -> dict:
         return {
             "scheme": self.scheme,
-            "base": self.base,
+            "base": (
+                "first-k-path" if self.lambdas is None else "fixed-lambda-set"
+            ),
             "B": self.B,
             "seed": self.seed,
             "lambdas": None if self.lambdas is None else list(self.lambdas),
@@ -301,24 +304,23 @@ def run_css(
     plan = draw_complementary_pairs(data.n, B, seed)
     if lambdas is None:
         lambdas = (cross_validate_lambda(data, seed=seed),)
+    lambdas = tuple(float(l) for l in lambdas)
     S = run_base_selections(data, plan, lambdas=lambdas, threads=threads)
-    return summarize_records(
-        partition, S, scheme,
-        base="fixed-lambda-set",
-        lambdas=tuple(float(l) for l in lambdas),
-        seed=seed,
-    )
+    return summarize_records(partition, S, scheme, lambdas=lambdas, seed=seed)
 
 
 def summarize_records(
     partition: ClusterPartition,
     S: np.ndarray,
     scheme: str,
-    base: str,
     lambdas: tuple[float, ...] | None,
     seed: int,
 ) -> CssResult:
-    """Aggregate a (2B, p) selection matrix into a CssResult."""
+    """Aggregate a (2B, p) selection matrix into a CssResult.
+
+    lambdas are the fixed-lambda-set base's penalties, or None for the
+    first-k-path base; the result's JSON names its base from them.
+    """
     props = feature_proportions(S)
     cprops = cluster_proportions(S, partition)
     weights = []
@@ -335,7 +337,6 @@ def summarize_records(
         weight_fallback=tuple(fallback),
         scheme=scheme,
         B=len(S) // 2,
-        base=base,
         lambdas=lambdas,
         seed=seed,
     )

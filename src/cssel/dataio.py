@@ -20,14 +20,12 @@ class FileFormatError(ValueError):
     pass
 
 
-def _parse_rows(path) -> tuple[list[list[float]], list[str] | None]:
+def _parse_rows(path) -> list[list[float]]:
     with open(path, newline="") as fh:
         raw = [row for row in csv.reader(fh)]
     raw = [row for row in raw if row and any(cell.strip() for cell in row)]
     if not raw:
         raise FileFormatError(f"{path}: empty file")
-    header = None
-    start = 0
 
     def floats_or_none(row):
         try:
@@ -35,11 +33,10 @@ def _parse_rows(path) -> tuple[list[list[float]], list[str] | None]:
         except ValueError:
             return None
 
-    if floats_or_none(raw[0]) is None:
-        header = [cell.strip() for cell in raw[0]]
-        start = 1
-        if len(raw) == 1:
-            raise FileFormatError(f"{path}: header but no data rows")
+    has_header = floats_or_none(raw[0]) is None
+    start = int(has_header)
+    if has_header and len(raw) == 1:
+        raise FileFormatError(f"{path}: header but no data rows")
     width = len(raw[start])
     values = []
     for i in range(start, len(raw)):
@@ -53,36 +50,40 @@ def _parse_rows(path) -> tuple[list[list[float]], list[str] | None]:
             bad = next(c for c in row if floats_or_none([c]) is None)
             raise FileFormatError(f"{path}, row {i + 1}: non-numeric value {bad!r}")
         values.append(parsed)
-    if header is not None and len(header) != width:
+    if has_header and len(raw[0]) != width:
         raise FileFormatError(
-            f"{path}, row 1: header has {len(header)} fields, data rows have {width}"
+            f"{path}, row 1: header has {len(raw[0])} fields, data rows have {width}"
         )
-    return values, header
+    return values
 
 
-def read_matrix_csv(path) -> tuple[np.ndarray, list[str] | None]:
-    """Read a numeric CSV, auto-detecting a single header row."""
-    values, header = _parse_rows(path)
-    return np.asarray(values, dtype=float), header
+def read_matrix_csv(path) -> np.ndarray:
+    """Read a numeric CSV, skipping a single auto-detected header row."""
+    return np.asarray(_parse_rows(path), dtype=float)
 
 
-def read_vector_csv(path) -> tuple[np.ndarray, str | None]:
+def read_vector_csv(path) -> np.ndarray:
     """Read a single-column numeric CSV."""
-    values, header = _parse_rows(path)
-    arr = np.asarray(values, dtype=float)
+    arr = read_matrix_csv(path)
     if arr.shape[1] != 1:
         raise FileFormatError(f"{path}: expected one column, got {arr.shape[1]}")
-    return arr[:, 0], header[0] if header else None
+    return arr[:, 0]
 
 
 def load_dataset(x_path, y_path) -> DataSet:
-    X, _ = read_matrix_csv(x_path)
-    y, _ = read_vector_csv(y_path)
+    X = read_matrix_csv(x_path)
+    y = read_vector_csv(y_path)
     if y.shape[0] != X.shape[0]:
         raise FileFormatError(
             f"{y_path}: {y.shape[0]} rows but {x_path} has {X.shape[0]}"
         )
     return DataSet(X=X, y=y)
+
+
+def _is_index(j) -> bool:
+    """A nonnegative JSON integer; true and false are not indexes, though
+    Python's bool is an int."""
+    return isinstance(j, int) and not isinstance(j, bool) and j >= 0
 
 
 def read_clusters_json(path) -> tuple[list[list[int]], list[str] | None, list[int]]:
@@ -100,8 +101,7 @@ def read_clusters_json(path) -> tuple[list[list[int]], list[str] | None, list[in
         raise FileFormatError(f"{path}: expected an object with a 'clusters' key")
     clusters = doc["clusters"]
     if not isinstance(clusters, list) or not all(
-        isinstance(c, list) and c and all(isinstance(j, int) and j >= 0 for j in c)
-        for c in clusters
+        isinstance(c, list) and c and all(_is_index(j) for j in c) for c in clusters
     ):
         raise FileFormatError(
             f"{path}: 'clusters' must be a list of nonempty lists of indexes"
@@ -114,9 +114,7 @@ def read_clusters_json(path) -> tuple[list[list[int]], list[str] | None, list[in
     ):
         raise FileFormatError(f"{path}: 'names' must list one string per cluster")
     screened = doc.get("screened_columns", [])
-    if not isinstance(screened, list) or not all(
-        isinstance(j, int) and j >= 0 for j in screened
-    ):
+    if not isinstance(screened, list) or not all(_is_index(j) for j in screened):
         raise FileFormatError(f"{path}: 'screened_columns' must list indexes")
     members = [j for c in clusters for j in c]
     if len(set(members)) != len(members):
@@ -126,15 +124,17 @@ def read_clusters_json(path) -> tuple[list[list[int]], list[str] | None, list[in
     return clusters, names, list(screened)
 
 
-def write_clusters_json(path, clusters, names=None, screened=()) -> None:
+def write_clusters_json(path, clusters, screened=()) -> None:
     with open(path, "w") as fh:
-        fh.write(clusters_json_text(clusters, names, screened))
+        fh.write(clusters_json_text(clusters, screened))
 
 
-def clusters_json_text(clusters, names=None, screened=()) -> str:
+def clusters_json_text(clusters, screened=()) -> str:
+    """A clusters document with no names; read_clusters_json still reads
+    names from a document that has them."""
     doc = {
         "clusters": [list(map(int, c)) for c in clusters],
-        "names": list(names) if names else None,
+        "names": None,
         "screened_columns": [int(j) for j in screened],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -2,9 +2,8 @@
 
 OLS refit on selected columns (raw features or weighted cluster
 representatives), squared error against the latent mean, and the Nogueira
-stability metric with its normal-approximation confidence interval.  The
-refits' pivoted QR is lasso's dgeqp3; scipy.special loads only for the
-interval's z value.
+stability metric with its 95% normal-approximation confidence interval.
+The refits' pivoted QR is lasso's dgeqp3; nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -15,6 +14,10 @@ import numpy as np
 
 from .data import DataSet
 from .lasso import RankDeficient, _ols_solve
+
+# The standard normal 0.975 quantile, ndtri(0.975): the z of a two-sided
+# 95% interval.
+Z_95 = 1.959963984540054
 
 # A column spec is either a raw feature index or a (members, weights) pair
 # describing a weighted-average representative column.
@@ -109,19 +112,13 @@ def nogueira_stability(S) -> float | None:
     return float(1.0 - s_sq.mean() / ((k_bar / p) * (1.0 - k_bar / p)))
 
 
-def nogueira_stability_ci(
-    S, level: float = 0.95
-) -> tuple[float, float, float] | None:
-    """(estimate, lo, hi) by the metric's influence-function variance.
+def nogueira_stability_ci(S) -> tuple[float, float, float] | None:
+    """(estimate, lo, hi) of the 95% interval by the metric's
+    influence-function variance.
 
-    The normal interval is cut at 1, which the metric cannot exceed.  Its z
-    value comes from scipy.special's ndtri, imported here on first use.
+    The normal interval is cut at 1, which the metric cannot exceed.
     """
-    from scipy.special import ndtri
-
     S = _check_selection_matrix(S)
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
     phi_hat = nogueira_stability(S)
     if phi_hat is None:
         return None
@@ -137,8 +134,7 @@ def nogueira_stability_ci(
     )
     phi_i = inner / v_rand
     var = 4.0 / M**2 * float(((phi_i - phi_i.mean()) ** 2).sum())
-    z = float(ndtri(0.5 + level / 2.0))
-    half = z * np.sqrt(var)
+    half = Z_95 * np.sqrt(var)
     return phi_hat, phi_hat - half, min(phi_hat + half, 1.0)
 
 

@@ -176,15 +176,14 @@ def gen_two_proxy_instance(
     seed: int,
     index: int = 0,
     n_rows: int | None = None,
-    check_interval: bool = True,
 ) -> SimInstance:
     """The three-feature vote-splitting design.
 
     Columns 0 and 1 are proxies Z + noise whose variance is the n-indexed
     proxy_noise_variance(n) = 1/(n log n); column 2 is an independent signal
-    with coefficient 1; y = beta_Z Z + X_2 + eps.  check_interval warns when
-    beta_Z lies outside vote_splitting_interval(n, sigma_eps_sq), whose lower
-    end is 1 + 10/sqrt(n log n).  The theorem's own text is not in this
+    with coefficient 1; y = beta_Z Z + X_2 + eps.  Warns when beta_Z lies
+    outside vote_splitting_interval(n, sigma_eps_sq), whose lower end is
+    1 + 10/sqrt(n log n).  The theorem's own text is not in this
     repository (see the README).  n_rows draws a different number of rows
     while keeping the noise variance tied to the nominal n.
     """
@@ -194,13 +193,12 @@ def gen_two_proxy_instance(
     rows = n if n_rows is None else int(n_rows)
     if rows < 1:
         raise ValueError("n_rows must be positive")
-    if check_interval:
-        band = vote_splitting_interval(n, sigma_eps_sq)
-        if band is None or not band[0] < beta_Z < band[1]:
-            warnings.warn(
-                f"beta_Z={beta_Z} outside the vote-splitting band {band} for n={n}",
-                stacklevel=2,
-            )
+    band = vote_splitting_interval(n, sigma_eps_sq)
+    if band is None or not band[0] < beta_Z < band[1]:
+        warnings.warn(
+            f"beta_Z={beta_Z} outside the vote-splitting band {band} for n={n}",
+            stacklevel=2,
+        )
     rng = stream_rng(seed, DOMAIN_SIM_TWO_PROXY, index)
     z = standard_normal(rng, rows)
     zeta = math.sqrt(var_zeta) * standard_normal(rng, (rows, 2))
@@ -254,8 +252,8 @@ def gen_proxy_instance(
     return SimInstance(data=DataSet(X=X, y=mu + eps), mu=mu, truth=truth)
 
 
-def instance_to_csv(inst: SimInstance, x_path, y_path, mu_path=None) -> None:
-    """Write an instance's X, y, and optionally mu as headed CSV files."""
+def instance_to_csv(inst: SimInstance, x_path, y_path) -> None:
+    """Write an instance's X and y as headed CSV files."""
     with open(x_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(inst.data.p)])
@@ -264,8 +262,3 @@ def instance_to_csv(inst: SimInstance, x_path, y_path, mu_path=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(["y"])
         writer.writerows([[v] for v in inst.data.y.tolist()])
-    if mu_path is not None:
-        with open(mu_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mu"])
-            writer.writerows([[v] for v in inst.mu.tolist()])

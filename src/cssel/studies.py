@@ -127,11 +127,11 @@ def _rep_selections(methods, inst, partition, props, cprops):
                 out[("lasso", s)] = (feats, list(entries[:s]))
 
     if "protolasso" in methods:
-        ppath, pmap = protolasso(inst.data, partition, first_k=max(SIZES))
+        ppath, prototypes = protolasso(inst.data, partition, first_k=max(SIZES))
         pentries = ppath.entry_order()
         for s in SIZES:
             if len(pentries) >= s:
-                feats = tuple(pmap.prototypes[k] for k in pentries[:s])
+                feats = tuple(prototypes[k] for k in pentries[:s])
                 out[("protolasso", s)] = (tuple(sorted(feats)), list(feats))
 
     if "ss" in methods:
@@ -355,14 +355,10 @@ def _run_two_proxy_study(reps, seed, threads=1, log=None) -> StudyResult:
     proxy_ge_direct = 0
 
     def _css_cluster_props(index):
-        inst = gen_two_proxy_instance(
-            n, sigma_eps_sq, beta_Z, seed, index=index, check_interval=False
-        )
+        inst = gen_two_proxy_instance(n, sigma_eps_sq, beta_Z, seed, index=index)
         rs = _rep_seed(seed, index)
         plan = draw_complementary_pairs(inst.data.n, B_STUDY, rs)
-        S = run_base_selections(
-            inst.data, plan, base="first-k-path", first_k=2, threads=threads
-        )
+        S = run_base_selections(inst.data, plan, first_k=2, threads=threads)
         return inst, S
 
     for r in range(reps):
@@ -382,7 +378,7 @@ def _run_two_proxy_study(reps, seed, threads=1, log=None) -> StudyResult:
     for r in range(pilot_reps):
         _, S = _css_cluster_props(PILOT_STREAM_OFFSET + r)
         pilot_sim += simultaneous_cluster_proportions(S, partition)
-    theta = float((pilot_sim / pilot_reps).max()) if pilot_reps else 1.0
+    theta = float((pilot_sim / pilot_reps).max())
 
     evaluated = cprops_all[:eval_reps]
     lhs = np.array([float(np.sum(c >= tau)) for c in evaluated])

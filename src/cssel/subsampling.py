@@ -57,9 +57,6 @@ class SubsamplePlan:
             for tag, rows in zip(("A", "Ac"), pair)
         ]
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "B": self.B, "pairs": self.pairs.tolist()}
-
 
 def draw_complementary_pairs(n: int, B: int, seed: int) -> SubsamplePlan:
     """Draw B independent complementary pairs of row sets: the first m = n // 2

@@ -38,10 +38,7 @@ def test_marginal_prototypes_pick_strongest_member():
     )
     y = z + 0.2 * rng.standard_normal(n)
     part = ClusterPartition(clusters=((0, 1), (2,)))
-    proto = marginal_prototypes(DataSet(X=X, y=y), part)
-    assert proto.prototypes == (0, 2)
-    assert proto.tie_flags == (False, False)
-    assert proto.excluded == ((), ())
+    assert marginal_prototypes(DataSet(X=X, y=y), part) == (0, 2)
 
 
 def test_marginal_prototypes_flag_ties_and_exclude_constants():
@@ -50,20 +47,21 @@ def test_marginal_prototypes_flag_ties_and_exclude_constants():
     x = rng.standard_normal(n)
     X = np.column_stack([x, x.copy(), np.full(n, 3.0), rng.standard_normal(n)])
     y = x + 0.1 * rng.standard_normal(n)
+    # the lowest index wins the tie of columns 0 and 1; constant column 2
+    # never competes, and column 3 is its own cluster's only member
     part = ClusterPartition(clusters=((0, 1, 2), (3,)))
-    proto = marginal_prototypes(DataSet(X=X, y=y), part)
-    assert proto.prototypes[0] == 0  # lowest index wins the tie
-    assert proto.tie_flags == (True, False)
-    assert proto.excluded == ((2,), ())
-    # 3 x0 + 1 ties with x0 up to rounding, so it is flagged in every design
+    assert marginal_prototypes(DataSet(X=X, y=y), part) == (0, 3)
+    part = ClusterPartition(clusters=((1, 2), (0,), (3,)))
+    assert marginal_prototypes(DataSet(X=X, y=y), part) == (1, 0, 3)
+    # 3 x2 + 1 ties with x2 up to rounding, so the lower index 1 wins in
+    # every design, also in the 12 where rounding gives x2 the larger value
     rng = np.random.default_rng(5)
-    part = ClusterPartition(clusters=((0, 1, 2), tuple(range(3, 12))))
+    part = ClusterPartition(clusters=((0,), (1, 2), tuple(range(3, 12))))
     for n in range(30, 70):
         X = rng.standard_normal((n, 12))
-        X[:, 2] = 3 * X[:, 0] + 1
-        proto = marginal_prototypes(DataSet(X=X, y=X[:, 0] + rng.standard_normal(n)), part)
-        assert proto.prototypes[0] == 0
-        assert proto.tie_flags == (True, False)
+        X[:, 1] = 3 * X[:, 2] + 1
+        y = X[:, 2] + rng.standard_normal(n)
+        assert marginal_prototypes(DataSet(X=X, y=y), part)[1] == 1
 
 
 def test_marginal_prototypes_reject_degenerate_inputs():
@@ -82,9 +80,10 @@ def test_marginal_prototypes_reject_degenerate_inputs():
 def test_protolasso_runs_on_prototype_columns():
     data = instance(9, n=80, p=6, strong=(0, 3))
     part = ClusterPartition(clusters=((0, 1), (2, 3), (4, 5)))
-    path, proto = protolasso(data, part)
-    assert len(proto.prototypes) == part.K
-    reduced = DataSet(X=data.X[:, list(proto.prototypes)], y=data.y)
+    path, prototypes = protolasso(data, part)
+    assert prototypes == marginal_prototypes(data, part)
+    assert len(prototypes) == part.K
+    reduced = DataSet(X=data.X[:, list(prototypes)], y=data.y)
     direct = fit_lasso_path(reduced)
     assert path.knots[0][0] == direct.knots[0][0]
     assert path.knots[0][2] == direct.knots[0][2]
@@ -97,9 +96,9 @@ def test_first_k_stops_the_reduced_paths_on_a_prefix():
     them."""
     inst = gen_sparse_instance(0, 0)
     part = ClusterPartition(clusters=inst.truth.clusters)
-    full_proto, proto = protolasso(inst.data, part)
-    stopped_proto, stopped_map = protolasso(inst.data, part, first_k=11)
-    assert stopped_map == proto
+    full_proto, prototypes = protolasso(inst.data, part)
+    stopped_proto, stopped_prototypes = protolasso(inst.data, part, first_k=11)
+    assert stopped_prototypes == prototypes
     crl = cluster_rep_lasso(inst.data, part)
     stopped_crl = cluster_rep_lasso(inst.data, part, first_k=11)
     for full, stopped in ((full_proto, stopped_proto), (crl, stopped_crl)):

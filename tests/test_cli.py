@@ -136,6 +136,20 @@ def test_run_with_clusters_file_reports_original_indexes(tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "1", "3"]
 
 
+def test_run_rejects_boolean_indexes_in_a_clusters_file(tmp_path, capsys):
+    """Regression: a JSON true read as column 1 and the run exited 0."""
+    xp, yp, _, _ = write_xy(tmp_path, seed=3, p=5)
+    cj = tmp_path / "clusters.json"
+    cj.write_text(json.dumps({"clusters": [[0, True], [2, 3, 4]]}))
+    code = run_cli(
+        "run", "--x", xp, "--y", yp, "--out", tmp_path / "out", "--clusters", cj,
+        "--lambda", "0.25", "--B", "2",
+    )
+    assert code == EXIT_INVALID
+    assert "indexes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_2_on_invalid_input(tmp_path, capsys):
     missing = run_cli(
         "run", "--x", tmp_path / "nope.csv", "--y", tmp_path / "nope2.csv",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cssel import lasso
+from cssel import core, lasso
 from cssel.core import (
     ClusterPartition,
     CssResult,
@@ -221,27 +221,55 @@ def test_base_selections_are_ordered_and_match_per_lambda_solver():
         assert set(np.flatnonzero(row).tolist()) == direct
 
 
-def test_base_selections_validate_arguments():
+def test_base_selections_validate_arguments(monkeypatch):
+    """Exactly one of lambdas and first_k names the base, and every bad
+    argument is rejected before any half is cut."""
     data = small_instance(3, n=30, p=4)
     plan = draw_complementary_pairs(data.n, B=2, seed=0)
-    with pytest.raises(ValueError):
-        run_base_selections(data, plan, lambdas=(0.1,), base="oracle")
-    with pytest.raises(ValueError):
-        run_base_selections(data, plan, lambdas=None)
-    with pytest.raises(ValueError):
-        run_base_selections(data, plan, base="first-k-path", first_k=0)
+    cut = []
+    monkeypatch.setattr(core, "restrict", lambda *args: cut.append(args))
+    with pytest.raises(ValueError, match="exactly one of lambdas and first_k"):
+        run_base_selections(data, plan, lambdas=(0.1,), first_k=2)
+    with pytest.raises(ValueError, match="exactly one of lambdas and first_k"):
+        run_base_selections(data, plan)
+    with pytest.raises(ValueError, match="nonempty"):
+        run_base_selections(data, plan, lambdas=())
+    with pytest.raises(ValueError, match="first_k must be positive"):
+        run_base_selections(data, plan, first_k=0)
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             run_base_selections(data, plan, lambdas=(0.1, bad))
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_base_selections(data, plan, lambdas=(0.1,), threads=0)
+    assert cut == []
+
+
+def test_one_shot_lambda_iterables_run_like_tuples():
+    """Regression: the emptiness check used up an iterator of lambdas, and
+    every half then failed on an empty lambda list."""
+    data = small_instance(3, n=40, p=5)
+    plan = draw_complementary_pairs(data.n, B=3, seed=2)
+    expected = run_base_selections(data, plan, lambdas=(0.1, 0.05))
+    got = run_base_selections(data, plan, lambdas=iter([0.1, 0.05]))
+    assert np.array_equal(got, expected)
+    part = ClusterPartition.singletons(data.p)
+    res = run_css(data, part, "simple", B=3, seed=2, lambdas=(l for l in (0.1, 0.05)))
+    assert res.lambdas == (0.1, 0.05)
+    assert np.array_equal(res.feature_props, feature_proportions(expected))
 
 
 def test_first_k_base_caps_selection_size():
     data = small_instance(4, n=60, p=6)
     plan = draw_complementary_pairs(data.n, B=3, seed=1)
-    S = run_base_selections(data, plan, base="first-k-path", first_k=2)
+    S = run_base_selections(data, plan, first_k=2)
     assert len(S) == 6
     assert all(S.sum(axis=1) <= 2)
     assert any(S.sum(axis=1) == 2)
+    # with no lambdas, the result names the first-k-path base
+    res = summarize_records(
+        ClusterPartition.singletons(data.p), S, "simple", lambdas=None, seed=1
+    )
+    assert res.to_json_dict()["base"] == "first-k-path"
 
 
 def test_half_sample_failure_names_the_half(monkeypatch):
@@ -329,6 +357,7 @@ def test_result_serialization_round_trip():
     res = run_css(data, part, scheme="sparse", B=4, seed=5, lambdas=(0.2,))
     d = res.to_json_dict()
     assert d["scheme"] == "sparse" and d["B"] == 4 and d["seed"] == 5
+    assert d["base"] == "fixed-lambda-set" and d["lambdas"] == [0.2]
     assert d["clusters"] == [[0, 1], [2], [3, 4]]
     assert d["cluster_names"] == ["a", "b", "c"]
     assert d["feature_props"] == res.feature_props.tolist()
@@ -344,9 +373,6 @@ def test_result_serialization_round_trip():
 def test_weight_fallback_marks_never_selected_clusters():
     part = ClusterPartition(clusters=((0, 1), (2,)))
     S = selections(3, {2}, {2})
-    res = summarize_records(
-        part, S, "weighted", base="fixed-lambda-set",
-        lambdas=(0.1,), seed=0,
-    )
+    res = summarize_records(part, S, "weighted", lambdas=(0.1,), seed=0)
     assert res.weight_fallback == (True, False)
     np.testing.assert_allclose(res.weights[0], [0.5, 0.5])

@@ -27,20 +27,14 @@ def write(path, text):
 
 def test_matrix_csv_autodetects_single_header(tmp_path):
     p = write(tmp_path / "a.csv", "x0,x1\n1,2\n3,4\n")
-    X, header = read_matrix_csv(p)
-    assert header == ["x0", "x1"]
-    np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(read_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
     q = write(tmp_path / "b.csv", "1,2\n3,4\n")
-    X, header = read_matrix_csv(q)
-    assert header is None
-    np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(read_matrix_csv(q), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_matrix_csv_skips_blank_lines_and_parses_floats(tmp_path):
     p = write(tmp_path / "a.csv", "x\n\n1.5\n\n-2e3\n , \n")
-    X, header = read_matrix_csv(p)
-    assert header == ["x"]
-    np.testing.assert_array_equal(X[:, 0], [1.5, -2000.0])
+    np.testing.assert_array_equal(read_matrix_csv(p)[:, 0], [1.5, -2000.0])
 
 
 def test_matrix_csv_errors_name_file_and_row(tmp_path):
@@ -63,9 +57,7 @@ def test_matrix_csv_errors_name_file_and_row(tmp_path):
 
 def test_vector_csv_requires_one_column(tmp_path):
     p = write(tmp_path / "y.csv", "y\n1\n2\n")
-    y, name = read_vector_csv(p)
-    assert name == "y"
-    np.testing.assert_array_equal(y, [1.0, 2.0])
+    np.testing.assert_array_equal(read_vector_csv(p), [1.0, 2.0])
     wide = write(tmp_path / "w.csv", "1,2\n")
     with pytest.raises(FileFormatError, match="expected one column"):
         read_vector_csv(wide)
@@ -83,14 +75,14 @@ def test_load_dataset_checks_row_counts(tmp_path):
 
 def test_clusters_json_round_trip(tmp_path):
     p = tmp_path / "c.json"
-    write_clusters_json(p, [[0, 2], [1]], names=["ab", "c"], screened=[3])
-    clusters, names, screened = read_clusters_json(p)
-    assert clusters == [[0, 2], [1]]
-    assert names == ["ab", "c"]
-    assert screened == [3]
-    assert p.read_text() == clusters_json_text(
-        [[0, 2], [1]], names=["ab", "c"], screened=[3]
+    write_clusters_json(p, [[0, 2], [1]], screened=[3])
+    assert read_clusters_json(p) == ([[0, 2], [1]], None, [3])
+    assert p.read_text() == clusters_json_text([[0, 2], [1]], screened=[3])
+    # names are written by users, not by the package, and are read back
+    named = write(
+        tmp_path / "n.json", '{"clusters": [[0, 2], [1]], "names": ["ab", "c"]}'
     )
+    assert read_clusters_json(named) == ([[0, 2], [1]], ["ab", "c"], [])
 
 
 def test_clusters_json_rejects_malformed_documents(tmp_path):
@@ -105,6 +97,11 @@ def test_clusters_json_rejects_malformed_documents(tmp_path):
         read_clusters_json(doc('{"clusters": [[0], []]}'))
     with pytest.raises(FileFormatError, match="nonempty lists of indexes"):
         read_clusters_json(doc('{"clusters": [[0.5]]}'))
+    # a JSON boolean is a Python int, but not an index
+    with pytest.raises(FileFormatError, match="nonempty lists of indexes"):
+        read_clusters_json(doc('{"clusters": [[0, true], [2]]}'))
+    with pytest.raises(FileFormatError, match="'screened_columns' must list indexes"):
+        read_clusters_json(doc('{"clusters": [[0]], "screened_columns": [false]}'))
     with pytest.raises(FileFormatError, match="one string per cluster"):
         read_clusters_json(doc('{"clusters": [[0]], "names": []}'))
     with pytest.raises(FileFormatError, match="clusters overlap"):
@@ -133,10 +130,7 @@ def test_css_result_files_translate_reduced_indexes(tmp_path):
     part = ClusterPartition(clusters=((0, 1), (2,)))
     # one pair: half A selects features 0 and 2, half Ac feature 0
     S = np.array([[True, False, True], [True, False, False]])
-    res = summarize_records(
-        part, S, "sparse", base="fixed-lambda-set",
-        lambdas=(0.2,), seed=3,
-    )
+    res = summarize_records(part, S, "sparse", lambdas=(0.2,), seed=3)
     out = tmp_path / "run"
     selection = {"mode": "tau", "tau": 0.5, "clusters": [0, 1]}
     write_css_result(out, res, selection=selection, column_ids=[0, 2, 4])
@@ -161,10 +155,7 @@ def test_css_result_files_default_to_identity_columns(tmp_path):
     part = ClusterPartition.singletons(2)
     # one pair, both halves select feature 1
     S = np.array([[False, True], [False, True]])
-    res = summarize_records(
-        part, S, "simple", base="fixed-lambda-set",
-        lambdas=(0.2,), seed=0,
-    )
+    res = summarize_records(part, S, "simple", lambdas=(0.2,), seed=0)
     write_css_result(tmp_path / "d", res)
     with open(tmp_path / "d" / "css_result.json") as fh:
         doc = json.load(fh)

@@ -8,6 +8,7 @@ import pytest
 from cssel.data import DataSet
 from cssel.evaluation import (
     METHOD_SIZE_HEADER,
+    Z_95,
     build_design,
     nogueira_stability,
     nogueira_stability_ci,
@@ -136,10 +137,12 @@ def test_stability_ci_brackets_the_estimate():
     est, lo, hi = nogueira_stability_ci(S)
     assert lo <= est <= hi
     assert est == nogueira_stability(S)
-    _, lo99, hi99 = nogueira_stability_ci(S, level=0.99)
-    assert lo99 < lo and hi < hi99
-    with pytest.raises(ValueError):
-        nogueira_stability_ci(S, level=1.0)
+
+
+def test_stability_ci_z_is_the_normal_0975_quantile():
+    from scipy.special import ndtri
+
+    assert Z_95 == float(ndtri(0.975))
 
 
 def test_stability_ci_upper_end_is_cut_at_one():

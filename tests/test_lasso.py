@@ -698,7 +698,7 @@ def test_first_k_path_base_never_selects_a_copy(d):
     copy kept out of the path is never among the first k."""
     data = sparse_with_copy(d)
     plan = draw_complementary_pairs(data.n, 50, 0)
-    S = core.run_base_selections(data, plan, base="first-k-path", first_k=5)
+    S = core.run_base_selections(data, plan, first_k=5)
     assert S.sum(axis=1).tolist() == [5] * len(S)
     assert not S[:, 100].any()
 

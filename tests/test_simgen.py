@@ -105,9 +105,7 @@ def test_two_proxy_matches_population_correlations():
     n = 500
     beta_Z = 1.9
     rows = 120_000
-    inst = gen_two_proxy_instance(
-        n, 1.0, beta_Z, seed=3, n_rows=rows, check_interval=False
-    )
+    inst = gen_two_proxy_instance(n, 1.0, beta_Z, seed=3, n_rows=rows)
     M = np.column_stack([inst.data.X, inst.data.y])
     emp = np.corrcoef(M.T)
     pop = two_proxy_correlation_matrix(beta_Z, proxy_noise_variance(n), 1.0)
@@ -182,9 +180,9 @@ def test_instance_validation():
 
 
 def test_csv_dump_round_trips_exactly(tmp_path):
-    inst = gen_two_proxy_instance(200, 1.0, 1.6, seed=7, check_interval=False)
-    xp, yp, mp = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "mu.csv"
-    instance_to_csv(inst, xp, yp, mu_path=mp)
+    inst = gen_two_proxy_instance(200, 1.0, 1.6, seed=7)
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    instance_to_csv(inst, xp, yp)
     with open(xp, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x0", "x1", "x2"]
@@ -195,12 +193,6 @@ def test_csv_dump_round_trips_exactly(tmp_path):
     assert rows[0] == ["y"]
     np.testing.assert_array_equal(
         np.array([float(r[0]) for r in rows[1:]]), inst.data.y
-    )
-    with open(mp, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["mu"]
-    np.testing.assert_array_equal(
-        np.array([float(r[0]) for r in rows[1:]]), inst.mu
     )
 
 
@@ -215,7 +207,7 @@ PINNED_DRAWS = {
     "sparse": lambda seed, rows: gen_sparse_instance(seed, 3, n=rows),
     "weighted": lambda seed, rows: gen_weighted_instance(seed, 3, n=rows),
     "two_proxy": lambda seed, rows: gen_two_proxy_instance(
-        200, 1.0, 1.5, seed, index=3, n_rows=rows, check_interval=False
+        200, 1.0, 1.5, seed, index=3, n_rows=rows
     ),
     "proxy": lambda seed, rows: gen_proxy_instance(PIN_PROXY, seed, 3, n_rows=rows),
 }

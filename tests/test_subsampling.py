@@ -107,18 +107,6 @@ def test_plan_is_a_read_only_copy():
         plan.pairs[0, 0, 0] = 1
 
 
-def test_plan_json_round_trip_fields():
-    plan = draw_complementary_pairs(8, B=2, seed=4)
-    doc = plan.to_json_dict()
-    assert doc["n"] == 8 and doc["B"] == 2
-    rebuilt = SubsamplePlan(
-        n=doc["n"],
-        B=doc["B"],
-        pairs=tuple((tuple(a), tuple(b)) for a, b in doc["pairs"]),
-    )
-    assert np.array_equal(rebuilt.pairs, plan.pairs)
-
-
 def test_too_small_n_rejected():
     with pytest.raises(ValueError):
         draw_complementary_pairs(3, B=1, seed=0)
