@@ -21,50 +21,22 @@ fit_lasso_at, descent from zero, is the independent check on it.
 
 The four LAPACK routines used here (dpotrf, dpotrs and dtrtrs in the path,
 dgeqp3 in the least-squares refit) come from scipy's _flapack extension,
-loaded from its file without the scipy.linalg package.
+which _scipy.load_extension loads without the scipy.linalg package init.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
+from ._scipy import load_extension
 from .data import DataSet, center_and_scale
 from .rng import DOMAIN_CV, stream_rng
 from .subsampling import restrict
 
-
-def _load_flapack():
-    """scipy's _flapack extension, loaded from its file.
-
-    The package init of scipy.linalg loads scipy's array-API layer, about
-    5 MB and 0.05 s more than the one extension this module calls.  The
-    module is registered under its own name, so a later import of
-    scipy.linalg reuses it and hands out the same routine objects.  Without
-    the file, scipy.linalg.lapack serves the same routines.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    linalg = os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg")
-    spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        from scipy.linalg import lapack
-
-        return lapack
-    module = module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_flapack = _load_flapack()
+_flapack = load_extension("linalg", "_flapack")
 dpotrf, dpotrs, dtrtrs, dgeqp3 = (
     _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs, _flapack.dgeqp3
 )

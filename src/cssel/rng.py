@@ -7,13 +7,19 @@ even when the user passes the same seed everywhere, and the index word gives
 each pair / replication its own stream so work can be scheduled in any order,
 or in parallel, with identical output.
 
-Normals come from scipy.special's ndtri, imported on the first draw, so a
-process that draws no normals (css run) never loads scipy.special.
+Normals come from scipy.special's ndtri ufunc.  The first draw loads it from
+the scipy.special._ufuncs extension alone (see _scipy.load_extension), so no
+process runs the scipy.special package init, and one that draws no normals
+(css run) loads no part of scipy.special.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
+
+from ._scipy import load_extension
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -30,11 +36,17 @@ DOMAIN_STUDY = 7
 
 
 def stream_rng(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """Return the Philox generator for one (seed, domain, index) stream."""
+    """Return the Philox generator for one (seed, domain, index) stream.
+
+    The seed and the index enter the key as given, so each must fit its
+    field, [0, 2^64) and [0, 2^48); a value outside would share another
+    key's stream."""
+    if seed < 0 or seed > _MASK64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
     if index < 0 or index > _MASK48:
         raise ValueError(f"stream index {index} outside [0, 2^48)")
     key = np.array(
-        [seed & _MASK64, ((domain & 0xFFFF) << 48) | index], dtype=np.uint64
+        [seed, ((domain & 0xFFFF) << 48) | index], dtype=np.uint64
     )
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -44,6 +56,12 @@ def stream_rng(seed: int, domain: int, index: int = 0) -> np.random.Generator:
 # integer draws, never grows past one block.
 _BLOCK_ROWS = 1024
 _TWO_53 = float(1 << 53)  # a float divisor: the same quotient, found faster
+
+
+@cache
+def _ndtri():
+    """scipy.special's ndtri ufunc, loaded on the first draw."""
+    return load_extension("special", "_ufuncs").ndtri
 
 
 def standard_normal(
@@ -63,12 +81,11 @@ def standard_normal(
     of the stream (more only on a rejection), and nothing is buffered
     between blocks.
     """
-    from scipy.special import ndtri
-
     if (size is None) == (out is None):
         raise ValueError("give exactly one of size and out")
     if out is None:
         out = np.empty(size)
+    ndtri = _ndtri()
     rows = out.reshape(1) if out.ndim == 0 else out
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]

@@ -385,6 +385,26 @@ def test_css_seed_env_var_sets_the_default(tmp_path, monkeypatch):
     ) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_outside_64_bits_exit_2(tmp_path, monkeypatch, capsys, seed):
+    """-1 would wrap to 2^64 - 1 and 2^64 to 0: each is refused instead,
+    from --seed or CSS_SEED, before any output is written."""
+    xp, yp, _, _ = write_xy(tmp_path, seed=6)
+    run = ("run", "--x", xp, "--y", yp, "--lambda", "0.25", "--B", "2")
+    assert run_cli(*run, "--out", tmp_path / "flag", "--seed", seed) == EXIT_INVALID
+    assert f"seed {seed} outside [0, 2^64)" in capsys.readouterr().err
+    assert run_cli(
+        "simulate", "--study", "theorem31", "--reps", "1", "--seed", seed,
+        "--out", tmp_path / "sim",
+    ) == EXIT_INVALID
+    monkeypatch.setenv("CSS_SEED", str(seed))
+    assert run_cli(*run, "--out", tmp_path / "env") == EXIT_INVALID
+    assert not any(tmp_path.glob("*/css_result.json"))
+    assert not (tmp_path / "sim").exists()
+    monkeypatch.setenv("CSS_SEED", str((1 << 64) - 1))
+    assert run_cli(*run, "--out", tmp_path / "top") == EXIT_OK
+
+
 def test_threads_leave_outputs_byte_identical(tmp_path):
     xp, yp, _, _ = write_xy(tmp_path, seed=8, n=50, p=5)
     one, four = tmp_path / "one", tmp_path / "four"

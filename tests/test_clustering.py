@@ -1,10 +1,6 @@
 """Correlation-distance clustering and the binary-design frequency screen."""
 
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,25 +178,17 @@ def test_correlation_clusters_hold_no_p_by_p_matrix(traced_peak):
     assert peak < p * p * 8 / 4
 
 
-def _python_with_src(code):
-    """Run python -c code with this checkout's src first on the path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-
-
-def test_the_cli_and_studies_do_not_import_scipy_sparse():
+def test_the_cli_and_studies_do_not_import_scipy_sparse(python_with_src):
     code = (
         "import sys, cssel.cli, cssel.studies; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     )
-    assert _python_with_src(code).stdout.strip() == "[]"
+    assert python_with_src(code).stdout.strip() == "[]"
 
 
-def test_css_run_loads_no_scipy_special_and_only_flapack_of_scipy_linalg(tmp_path):
+def test_css_run_loads_no_scipy_special_and_only_flapack_of_scipy_linalg(
+    tmp_path, python_with_src
+):
     """The CSV is written here: simgen draws normals, which load ndtri."""
     xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
     instance_to_csv(gen_sparse_instance(0, 0), xp, yp)
@@ -212,7 +200,16 @@ def test_css_run_loads_no_scipy_special_and_only_flapack_of_scipy_linalg(tmp_pat
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[:2] in (['scipy', 'special'], ['scipy', 'linalg'])))"
     )
-    assert _python_with_src(code).stdout.strip() == "['scipy.linalg._flapack']"
+    assert python_with_src(code).stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_importing_the_cli_loads_one_scipy_module(python_with_src):
+    """Not even the top-level scipy package: only a draw needs it."""
+    code = (
+        "import sys, cssel.cli, cssel.studies; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert python_with_src(code).stdout.strip() == "['scipy.linalg._flapack']"
 
 
 def test_lasso_routines_are_the_scipy_linalg_lapack_routines():

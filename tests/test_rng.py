@@ -1,5 +1,7 @@
 """Keyed stream determinism and the inverse-CDF normal sampler."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -44,6 +46,16 @@ def test_index_does_not_bleed_into_domain():
 def test_index_out_of_range_rejected():
     with pytest.raises(ValueError):
         stream_rng(0, DOMAIN_SUBSAMPLE, 1 << 48)
+
+
+def test_seed_outside_64_bits_rejected():
+    """The key takes the seed as it is: no seed wraps onto another's stream."""
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match=f"seed {seed} outside"):
+            stream_rng(seed, DOMAIN_SUBSAMPLE)
+    top = stream_rng((1 << 64) - 1, DOMAIN_SUBSAMPLE).integers(0, 1 << 62, size=8)
+    zero = stream_rng(0, DOMAIN_SUBSAMPLE).integers(0, 1 << 62, size=8)
+    assert not np.array_equal(top, zero)
 
 
 def test_standard_normal_shape_and_determinism():
@@ -94,3 +106,77 @@ def test_standard_normal_is_symmetric_and_bounded_tails():
     assert np.all(np.isfinite(draws))
     # ndtri((k+0.5)/2^53) cannot produce the infinite endpoints
     assert np.abs(draws).max() < 9.0
+
+
+# The loading of ndtri is checked in fresh processes: this one imported
+# scipy.special, through scipy.stats, when it collected this module.
+DRAW = (
+    "import hashlib, sys\n"
+    "from cssel.rng import DOMAIN_CV, standard_normal, stream_rng\n"
+    "def digest(seed):\n"
+    "    z = standard_normal(stream_rng(seed, DOMAIN_CV, 0), 5000)\n"
+    "    return hashlib.sha256(z.tobytes()).hexdigest()\n"
+)
+
+
+def digest(seed):
+    z = standard_normal(stream_rng(seed, DOMAIN_CV, 0), 5000)
+    return hashlib.sha256(z.tobytes()).hexdigest()
+
+
+def test_a_draw_loads_ndtri_without_the_scipy_special_package(python_with_src):
+    code = (
+        "import sys\n"
+        "from cssel.simgen import gen_sparse_instance\n"
+        "gen_sparse_instance(0, 0)\n"
+        "names = ('scipy.special._ufuncs', 'scipy.special', 'scipy.special._basic')\n"
+        "print([name in sys.modules for name in names])\n"
+        "import scipy.special\n"
+        "from cssel import rng\n"
+        "print(scipy.special.ndtri is rng._ndtri(), scipy.special.gamma(5.0))\n"
+    )
+    out = python_with_src(code).stdout.splitlines()
+    assert out == ["[True, False, False]", "True 24.0"]
+
+
+def test_a_failed_load_falls_back_to_the_package_import(python_with_src):
+    """A sibling of _ufuncs fails to run under the stand-in package.  The
+    draw still matches, the real scipy.special replaces the stand-in, and
+    every scipy.special module left is one the real package imported: none
+    is left over from the failed load."""
+    code = DRAW + (
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "real = ExtensionFileLoader.exec_module\n"
+        "failed = []\n"
+        "def exec_module(self, module):\n"
+        "    if module.__name__ == 'scipy.special._special_ufuncs' and not failed:\n"
+        "        failed.append(sys.modules['scipy.special'])\n"
+        "        raise ImportError('forced')\n"
+        "    return real(self, module)\n"
+        "ExtensionFileLoader.exec_module = exec_module\n"
+        "print(digest(3))\n"
+        "special = sys.modules['scipy.special']\n"
+        "print(special is not failed[0], hasattr(special, '__file__'))\n"
+        "print(sorted(name for name, module in sys.modules.items()\n"
+        "    if name.startswith('scipy.special.')\n"
+        "    and getattr(special, name.split('.')[2], None) is not module))\n"
+    )
+    out = python_with_src(code).stdout.splitlines()
+    assert out == [digest(3), "True True", "[]"]
+
+
+def test_first_draws_in_two_threads_at_once_match_one_thread(python_with_src):
+    code = DRAW + (
+        "import threading\n"
+        "barrier = threading.Barrier(2)\n"
+        "got = {}\n"
+        "def draw(seed):\n"
+        "    barrier.wait()\n"
+        "    got[seed] = digest(seed)\n"
+        "threads = [threading.Thread(target=draw, args=(s,)) for s in (3, 4)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "print(got[3], got[4], 'scipy.special' in sys.modules)\n"
+    )
+    assert python_with_src(code).stdout.split() == [digest(3), digest(4), "False"]
