@@ -38,7 +38,6 @@ from .dataio import (
     read_clusters_json,
     read_matrix_csv,
     remap_partition,
-    write_clusters_json,
     write_css_result,
 )
 from .lasso import ConvergenceFailure, InsufficientPath, RankDeficient
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orc.add_argument(
         "--betas",
-        default="",
+        default=None,
         help="comma-separated direct-feature coefficients",
     )
     orc.set_defaults(func=cmd_oracle)
@@ -271,14 +270,22 @@ def cmd_cluster(args) -> int:
             f"constant column(s) {original}; screen them out first"
         ) from None
     clusters = [[kept[j] for j in c] for c in partition.clusters]
+    text = clusters_json_text(clusters, screened=screened)
     if args.out:
-        write_clusters_json(args.out, clusters, screened=screened)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(clusters_json_text(clusters, screened=screened))
+        sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
+    # any of the risk block's three flags asks for it, and it needs these two
+    risk_flags = {"--beta-z": args.beta_z, "--sigma-zeta-sq": args.sigma_zeta_sq}
+    missing = [flag for flag, value in risk_flags.items() if value is None]
+    risk_asked = len(missing) < 2 or args.betas is not None
+    if risk_asked and missing:
+        raise ValueError(f"the risk block needs {' and '.join(missing)}")
     doc = {
         "n": args.n,
         "sigma_eps_sq": args.sigma_eps_sq,
@@ -287,7 +294,7 @@ def cmd_oracle(args) -> int:
     }
     band = vote_splitting_interval(args.n, args.sigma_eps_sq, args.c2)
     doc["vote_splitting_interval"] = None if band is None else list(band)
-    if args.beta_z is not None and args.sigma_zeta_sq is not None:
+    if not missing:
         zetas = tuple(float(v) for v in args.sigma_zeta_sq.split(","))
         betas = tuple(float(v) for v in args.betas.split(",")) if args.betas else ()
         params = ProxyModelParams(

@@ -124,11 +124,6 @@ def read_clusters_json(path) -> tuple[list[list[int]], list[str] | None, list[in
     return clusters, names, list(screened)
 
 
-def write_clusters_json(path, clusters, screened=()) -> None:
-    with open(path, "w") as fh:
-        fh.write(clusters_json_text(clusters, screened))
-
-
 def clusters_json_text(clusters, screened=()) -> str:
     """A clusters document with no names; read_clusters_json still reads
     names from a document that has them."""

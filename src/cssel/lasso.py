@@ -43,6 +43,7 @@ dpotrf, dpotrs, dtrtrs, dgeqp3 = (
 
 KKT_TOL = 1e-8
 CD_TOL = 1e-10
+GRID_POINTS = 100  # lambdas in default_lambda_grid, the grid of every CV
 TIE_REL = 1e-12
 PIVOT_REL = 1e-10
 _BOTH_SIGNS = np.array([[1.0], [-1.0]])  # the entry roots' sign rows, +1 first
@@ -437,13 +438,7 @@ def _cd_solve(
     return beta, it
 
 
-def fit_lasso_at(
-    data: DataSet,
-    lam: float,
-    tol: float = CD_TOL,
-    max_iter: int = 10000,
-    kkt_tol: float = KKT_TOL,
-) -> LassoFit:
+def fit_lasso_at(data: DataSet, lam: float, max_iter: int = 10000) -> LassoFit:
     """Coordinate-descent solution at a fixed lambda; no column may be zero."""
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
@@ -458,10 +453,10 @@ def fit_lasso_at(
     else:
         G = U.T @ U
         c = U.T @ y
-        beta, iterations = _cd_solve(G, c, n * lam, np.zeros(p), tol, max_iter)
+        beta, iterations = _cd_solve(G, c, n * lam, np.zeros(p), CD_TOL, max_iter)
     coef = beta / norms
     resid = kkt_residual(data, coef, lam)
-    if not resid <= kkt_tol:
+    if not resid <= KKT_TOL:
         raise ConvergenceFailure(resid, iterations)
     return LassoFit(
         lam=float(lam),
@@ -472,12 +467,13 @@ def fit_lasso_at(
     )
 
 
-def default_lambda_grid(data: DataSet, points: int = 100) -> np.ndarray:
-    """Log-spaced grid from lambda_max down to lambda_max * 1e-3."""
+def default_lambda_grid(data: DataSet) -> np.ndarray:
+    """GRID_POINTS log-spaced lambdas from lambda_max down to lambda_max *
+    1e-3; the single lambda 0 when lambda_max is 0."""
     lam1 = lambda_max(data)
     if lam1 == 0.0:
         return np.array([0.0])
-    return np.geomspace(lam1, lam1 * 1e-3, points)
+    return np.geomspace(lam1, lam1 * 1e-3, GRID_POINTS)
 
 
 def fixed_lambda_supports(data: DataSet, lambdas) -> np.ndarray:
@@ -497,13 +493,9 @@ def fixed_lambda_supports(data: DataSet, lambdas) -> np.ndarray:
     return coefs != 0.0
 
 
-def cross_validate_lambda(
-    data: DataSet,
-    folds: int = 10,
-    grid: np.ndarray | None = None,
-    seed: int = 0,
-) -> float:
-    """Pick the grid lambda with the lowest held-out squared error.
+def cross_validate_lambda(data: DataSet, folds: int = 10, seed: int = 0) -> float:
+    """Pick the default_lambda_grid lambda with the lowest held-out squared
+    error.
 
     Rows are shuffled once, by the (seed, DOMAIN_CV) stream, split into
     `folds` chunks, and each training fold, cut by restrict, is solved at
@@ -514,15 +506,7 @@ def cross_validate_lambda(
         raise ValueError("need at least 2 folds")
     if folds > data.n:
         raise ValueError(f"{folds} folds exceed {data.n} rows")
-    if grid is None:
-        grid = default_lambda_grid(data)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty lambda grid")
-    if grid.size > 1 and not np.all(np.diff(grid) < 0):
-        raise ValueError("grid must be strictly decreasing")
-    if grid[-1] < 0:
-        raise ValueError("negative lambda in grid")
+    grid = default_lambda_grid(data)
 
     perm = stream_rng(seed, DOMAIN_CV).permutation(data.n)
     chunks = np.array_split(perm, folds)

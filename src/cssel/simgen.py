@@ -5,6 +5,12 @@ Every generator is a pure function of (seed, index, parameters): replication
 any order or in parallel and still come out bit-identical.  Each instance
 carries the latent mean ``mu`` and enough generative metadata to score
 selections against the truth.
+
+Two routines do the drawing.  ``_proxy_model`` draws the proxy model behind
+the risk formulas: ``gen_proxy_instance`` in general, and
+``gen_two_proxy_instance`` as its q = 2, p = 3 case on a stream of its own.
+``_factor_design`` draws the 100-feature layout that the sparse and weighted
+designs share: proxy blocks, ten weak signals, then noise at SNR 3.
 """
 
 from __future__ import annotations
@@ -80,160 +86,19 @@ def _truth_clusters(proxy_block: int, p: int) -> tuple[tuple[int, ...], ...]:
     return (tuple(range(proxy_block)),) + rest
 
 
-def _weak_signal_betas() -> np.ndarray:
-    return 1.0 / np.sqrt(np.arange(1, 11, dtype=float))
-
-
-def _finish_instance(rng, mu, X, truth_kwargs, snr) -> SimInstance:
-    n = mu.shape[0]
-    sigma_eps_sq = float(mu @ mu) / (n * snr)
-    y = mu + math.sqrt(sigma_eps_sq) * standard_normal(rng, n)
-    truth = SimTruth(sigma_eps_sq=sigma_eps_sq, snr=snr, **truth_kwargs)
-    return SimInstance(data=DataSet(X=X, y=y), mu=mu, truth=truth)
-
-
-def gen_sparse_instance(seed: int, index: int, n: int = 200) -> SimInstance:
-    """One replication of the sparse design.
-
-    100 features: columns 0..9 are proxies 0.9 Z + 0.3 W + sqrt(0.1) noise
-    (pairwise covariance 0.9, covariance 0.9 with Z), columns 10..19 are
-    independent weak signals with coefficients 1/sqrt(1)..1/sqrt(10), columns
-    20..99 pure noise.  mu = 1.5 Z + signal part; the response noise level is
-    set from the realized mu so the signal-to-noise ratio is exactly 3.
-    """
-    rng = stream_rng(seed, DOMAIN_SIM_SPARSE, index)
-    z = standard_normal(rng, n)
-    w = standard_normal(rng, n)
-    # Each block is drawn straight into its columns of X.  Scaling the noise
-    # and adding the shared part in place gives the same IEEE sums as
-    # 0.9 z + 0.3 w + sqrt(0.1) noise.
-    X = np.empty((n, 100))
-    proxies = standard_normal(rng, out=X[:, :10])
-    proxies *= math.sqrt(0.1)
-    proxies += 0.9 * z[:, None] + 0.3 * w[:, None]
-    standard_normal(rng, out=X[:, 10:20])
-    standard_normal(rng, out=X[:, 20:])
-    weak = _weak_signal_betas()
-    mu = 1.5 * z + X[:, 10:20] @ weak
-    betas = np.zeros(100)
-    betas[10:20] = weak
-    return _finish_instance(
-        rng,
-        mu,
-        X,
-        dict(
-            beta_Z=1.5,
-            betas=tuple(betas),
-            proxy_columns=tuple(range(10)),
-            clusters=_truth_clusters(10, 100),
-        ),
-        SNR_DEFAULT,
-    )
-
-
-def gen_weighted_instance(seed: int, index: int, n: int = 200) -> SimInstance:
-    """One replication of the mixed-quality proxy design.
-
-    100 features: columns 0..4 strong proxies 0.9 Z + sqrt(0.19) noise
-    (correlation 0.9 with Z), columns 5..14 weak proxies 0.5 Z + sqrt(0.75)
-    noise (correlation 0.5), columns 15..24 weak signals with coefficients
-    1/sqrt(j), columns 25..99 pure noise.  All 15 proxies form one true
-    cluster; strong and weak proxies correlate at 0.45 through the shared Z.
-    """
-    rng = stream_rng(seed, DOMAIN_SIM_WEIGHTED, index)
-    z = standard_normal(rng, n)
-    X = np.empty((n, 100))  # drawn in place, as in gen_sparse_instance
-    strong = standard_normal(rng, out=X[:, :5])
-    strong *= math.sqrt(0.19)
-    strong += 0.9 * z[:, None]
-    weak_proxies = standard_normal(rng, out=X[:, 5:15])
-    weak_proxies *= math.sqrt(0.75)
-    weak_proxies += 0.5 * z[:, None]
-    standard_normal(rng, out=X[:, 15:25])
-    standard_normal(rng, out=X[:, 25:])
-    weak = _weak_signal_betas()
-    mu = 1.5 * z + X[:, 15:25] @ weak
-    betas = np.zeros(100)
-    betas[15:25] = weak
-    return _finish_instance(
-        rng,
-        mu,
-        X,
-        dict(
-            beta_Z=1.5,
-            betas=tuple(betas),
-            proxy_columns=tuple(range(15)),
-            clusters=_truth_clusters(15, 100),
-        ),
-        SNR_DEFAULT,
-    )
-
-
-def gen_two_proxy_instance(
-    n: int,
-    sigma_eps_sq: float,
-    beta_Z: float,
-    seed: int,
-    index: int = 0,
-    n_rows: int | None = None,
-) -> SimInstance:
-    """The three-feature vote-splitting design.
-
-    Columns 0 and 1 are proxies Z + noise whose variance is the n-indexed
-    proxy_noise_variance(n) = 1/(n log n); column 2 is an independent signal
-    with coefficient 1; y = beta_Z Z + X_2 + eps.  Warns when beta_Z lies
-    outside vote_splitting_interval(n, sigma_eps_sq), whose lower end is
-    1 + 10/sqrt(n log n).  The theorem's own text is not in this
-    repository (see the README).  n_rows draws a different number of rows
-    while keeping the noise variance tied to the nominal n.
-    """
-    if sigma_eps_sq < 0:
-        raise ValueError("sigma_eps_sq must be nonnegative")
-    var_zeta = proxy_noise_variance(n)
-    rows = n if n_rows is None else int(n_rows)
-    if rows < 1:
-        raise ValueError("n_rows must be positive")
-    band = vote_splitting_interval(n, sigma_eps_sq)
-    if band is None or not band[0] < beta_Z < band[1]:
-        warnings.warn(
-            f"beta_Z={beta_Z} outside the vote-splitting band {band} for n={n}",
-            stacklevel=2,
-        )
-    rng = stream_rng(seed, DOMAIN_SIM_TWO_PROXY, index)
-    z = standard_normal(rng, rows)
-    zeta = math.sqrt(var_zeta) * standard_normal(rng, (rows, 2))
-    x3 = standard_normal(rng, rows)
-    eps = math.sqrt(sigma_eps_sq) * standard_normal(rng, rows)
-    X = np.column_stack([z + zeta[:, 0], z + zeta[:, 1], x3])
-    mu = beta_Z * z + x3
-    truth = SimTruth(
-        beta_Z=beta_Z,
-        betas=(0.0, 0.0, 1.0),
-        proxy_columns=(0, 1),
-        clusters=((0, 1), (2,)),
-        sigma_eps_sq=sigma_eps_sq,
-        snr=None,
-    )
-    return SimInstance(data=DataSet(X=X, y=mu + eps), mu=mu, truth=truth)
-
-
-def gen_proxy_instance(
-    params: ProxyModelParams, seed: int, index: int = 0, n_rows: int | None = None
-) -> SimInstance:
-    """A draw from the general proxy model behind the risk formulas.
-
-    Columns 0..q-1 are Z + noise with the given per-proxy variances; columns
-    q..p-1 are independent standard normal signals with the given
-    coefficients; y = beta_Z Z + direct part + eps.  n_rows overrides the
-    row count for independent test copies.
-    """
+def _proxy_model(rng, params: ProxyModelParams, n_rows: int | None) -> SimInstance:
+    """One draw of the proxy model on rng: Z, the proxies' noise, the direct
+    signals and eps, in that order.  n_rows (params.n when None) sets the
+    row count; every variance stays that of params."""
     rows = params.n if n_rows is None else int(n_rows)
     if rows < 1:
         raise ValueError("n_rows must be positive")
-    rng = stream_rng(seed, DOMAIN_SIM_PROXY, index)
     z = standard_normal(rng, rows)
-    sd = np.sqrt(np.asarray(params.sigma_zeta_sq))
-    proxies = z[:, None] + sd * standard_normal(rng, (rows, params.q))
+    # Drawn into an array of their own, not into X: a draw into a slice two
+    # columns wide takes about twice as long as into a contiguous array.
+    proxies = standard_normal(rng, (rows, params.q))
+    proxies *= np.sqrt(params.sigma_zeta_sq)
+    proxies += z[:, None]
     direct = standard_normal(rng, (rows, params.p - params.q))
     X = np.column_stack([proxies, direct]) if params.p > params.q else proxies
     betas = np.asarray(params.betas)
@@ -250,6 +115,125 @@ def gen_proxy_instance(
         snr=None,
     )
     return SimInstance(data=DataSet(X=X, y=mu + eps), mu=mu, truth=truth)
+
+
+def _factor_design(rng, z: np.ndarray, blocks) -> SimInstance:
+    """The 100-feature layout of the sparse and weighted designs, drawn on
+    rng after the latent z.
+
+    blocks lists the proxy blocks in column order as (width, sd, shared):
+    each block is drawn straight into its columns of X as sd * noise +
+    shared, scaled and added in place.  Ten weak signals with coefficients
+    1/sqrt(1)..1/sqrt(10) follow, then pure noise.  mu = 1.5 z + the weak
+    part, and the response noise is set from the realized mu so that the
+    signal-to-noise ratio is exactly SNR_DEFAULT.
+    """
+    n = z.shape[0]
+    X = np.empty((n, 100))
+    q = 0
+    for width, sd, shared in blocks:
+        block = standard_normal(rng, out=X[:, q : q + width])
+        block *= sd
+        block += shared[:, None]
+        q += width
+    standard_normal(rng, out=X[:, q : q + 10])
+    standard_normal(rng, out=X[:, q + 10 :])
+    weak = 1.0 / np.sqrt(np.arange(1, 11, dtype=float))
+    mu = 1.5 * z + X[:, q : q + 10] @ weak
+    sigma_eps_sq = float(mu @ mu) / (n * SNR_DEFAULT)
+    y = mu + math.sqrt(sigma_eps_sq) * standard_normal(rng, n)
+    betas = np.zeros(100)
+    betas[q : q + 10] = weak
+    truth = SimTruth(
+        beta_Z=1.5,
+        betas=tuple(betas),
+        proxy_columns=tuple(range(q)),
+        clusters=_truth_clusters(q, 100),
+        sigma_eps_sq=sigma_eps_sq,
+        snr=SNR_DEFAULT,
+    )
+    return SimInstance(data=DataSet(X=X, y=y), mu=mu, truth=truth)
+
+
+def gen_sparse_instance(seed: int, index: int, n: int = 200) -> SimInstance:
+    """One replication of the sparse design.
+
+    100 features: columns 0..9 are proxies 0.9 Z + 0.3 W + sqrt(0.1) noise
+    (pairwise covariance 0.9, covariance 0.9 with Z), columns 10..19 are
+    independent weak signals with coefficients 1/sqrt(1)..1/sqrt(10), columns
+    20..99 pure noise.  mu = 1.5 Z + signal part; the response noise level is
+    set from the realized mu so the signal-to-noise ratio is exactly 3.
+    """
+    rng = stream_rng(seed, DOMAIN_SIM_SPARSE, index)
+    z = standard_normal(rng, n)
+    w = standard_normal(rng, n)
+    return _factor_design(rng, z, [(10, math.sqrt(0.1), 0.9 * z + 0.3 * w)])
+
+
+def gen_weighted_instance(seed: int, index: int, n: int = 200) -> SimInstance:
+    """One replication of the mixed-quality proxy design.
+
+    100 features: columns 0..4 strong proxies 0.9 Z + sqrt(0.19) noise
+    (correlation 0.9 with Z), columns 5..14 weak proxies 0.5 Z + sqrt(0.75)
+    noise (correlation 0.5), columns 15..24 weak signals with coefficients
+    1/sqrt(j), columns 25..99 pure noise.  All 15 proxies form one true
+    cluster; strong and weak proxies correlate at 0.45 through the shared Z.
+    """
+    rng = stream_rng(seed, DOMAIN_SIM_WEIGHTED, index)
+    z = standard_normal(rng, n)
+    return _factor_design(
+        rng, z, [(5, math.sqrt(0.19), 0.9 * z), (10, math.sqrt(0.75), 0.5 * z)]
+    )
+
+
+def gen_two_proxy_instance(
+    n: int,
+    sigma_eps_sq: float,
+    beta_Z: float,
+    seed: int,
+    index: int = 0,
+    n_rows: int | None = None,
+) -> SimInstance:
+    """The three-feature vote-splitting design: the proxy model with q = 2.
+
+    Columns 0 and 1 are proxies Z + noise whose variance is the n-indexed
+    proxy_noise_variance(n) = 1/(n log n); column 2 is an independent signal
+    with coefficient 1; y = beta_Z Z + X_2 + eps.  Warns when beta_Z lies
+    outside vote_splitting_interval(n, sigma_eps_sq), whose lower end is
+    1 + 10/sqrt(n log n).  The theorem's own text is not in this
+    repository (see the README).  n_rows draws a different number of rows
+    while keeping the noise variance tied to the nominal n.
+    """
+    band = vote_splitting_interval(n, sigma_eps_sq)
+    if band is None or not band[0] < beta_Z < band[1]:
+        warnings.warn(
+            f"beta_Z={beta_Z} outside the vote-splitting band {band} for n={n}",
+            stacklevel=2,
+        )
+    var_zeta = proxy_noise_variance(n)
+    params = ProxyModelParams(
+        n=n,
+        q=2,
+        p=3,
+        beta_Z=beta_Z,
+        betas=(1.0,),
+        sigma_zeta_sq=(var_zeta, var_zeta),
+        sigma_eps_sq=sigma_eps_sq,
+    )
+    return _proxy_model(stream_rng(seed, DOMAIN_SIM_TWO_PROXY, index), params, n_rows)
+
+
+def gen_proxy_instance(
+    params: ProxyModelParams, seed: int, index: int = 0, n_rows: int | None = None
+) -> SimInstance:
+    """A draw from the general proxy model behind the risk formulas.
+
+    Columns 0..q-1 are Z + noise with the given per-proxy variances; columns
+    q..p-1 are independent standard normal signals with the given
+    coefficients; y = beta_Z Z + direct part + eps.  n_rows overrides the
+    row count for independent test copies.
+    """
+    return _proxy_model(stream_rng(seed, DOMAIN_SIM_PROXY, index), params, n_rows)
 
 
 def instance_to_csv(inst: SimInstance, x_path, y_path) -> None:

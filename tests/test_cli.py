@@ -455,9 +455,16 @@ def test_cluster_stdout_and_binary_screen(tmp_path, capsys):
     assert run_cli(
         "cluster", "--x", xp, "--binary", "--maf", "0.05", "--cutoff", "0.5"
     ) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert doc["clusters"] == [[0, 1]]
     assert doc["screened_columns"] == [2]
+    cj = tmp_path / "clusters.json"
+    assert run_cli(
+        "cluster", "--x", xp, "--binary", "--maf", "0.05", "--cutoff", "0.5",
+        "--out", cj,
+    ) == EXIT_OK
+    assert capsys.readouterr().out == "" and cj.read_text() == text
     assert run_cli("cluster", "--x", xp, "--maf", "0.05") == EXIT_INVALID
     err = capsys.readouterr().err
     assert "--maf requires --binary" in err
@@ -498,6 +505,62 @@ def test_oracle_rejects_non_finite_inputs(capsys, flag, bad):
     flat = [token for pair in args.items() for token in pair]
     assert run_cli("oracle", "--n", "5000", *flat) == EXIT_INVALID
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, missing",
+    [
+        (["--beta-z", "1.5"], "--sigma-zeta-sq"),
+        (["--sigma-zeta-sq", "0.1"], "--beta-z"),
+        (["--betas", "1,2"], "--beta-z and --sigma-zeta-sq"),
+    ],
+    ids=["beta-z-alone", "sigma-zeta-sq-alone", "betas-alone"],
+)
+def test_oracle_risk_flags_without_beta_z_and_sigma_zeta_sq_exit_2(
+    capsys, flags, missing
+):
+    """Any flag of the risk block without both of its required flags is an
+    error that names the missing one, not a silently dropped block."""
+    assert run_cli("oracle", "--n", "5000", *flags) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and f"needs {missing}" in err
+
+
+# sha256 of each output file of `css simulate --reps 2 --seed 0 --test-n 200`
+STUDY_DIGESTS = {
+    "sparse": {
+        "report.csv": "aeffcf1a2faa0e77f9d6438274e41e9413c11aab49433c7fe8a6d1aec0f7c8d1",
+        "summary.json": "ee96e9e79749e4516922b428ef3810930d9931ed32032b78cacfb0337ee4cf12",
+    },
+    "averaging": {
+        "report.csv": "042093c981e937360161f04757c490e55f6088296846aad9f2c172d2f6f865a9",
+        "summary.json": "88d9c65b5896c2b556f7e30f559098a064f99ae725920324851cca8ab652b5d2",
+    },
+    "weighted": {
+        "report.csv": "6a4fece623308f29983e904a09f2a65f806da19061dcc017eae86ae2e64dfb7d",
+        "summary.json": "833758f08a5beccddb625ccc6a9532a699266fe574e8f6530569394da91d7a69",
+    },
+    "theorem31": {
+        "entrants.csv": "3fb6daca1f65e131ae988790fd7e96fb459cb4a159b09d9f03eae7a47ea74e17",
+        "report.csv": "a640752416fac936890049d6dce8d544f8240394f593b999c30995710f6acb99",
+        "summary.json": "6dc6b8171e045bfae58f63bec1961c2b3e37a50a9352b89e7bc42c163ccdbcf5",
+    },
+}
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_DIGESTS))
+def test_study_output_bytes_are_pinned(tmp_path, study):
+    """Every file a two-replication study writes has pinned bytes, so a
+    change to a generator, a solver or a report format shows here."""
+    out = tmp_path / study
+    assert run_cli(
+        "simulate", "--study", study, "--reps", "2", "--seed", "0",
+        "--test-n", "200", "--out", out,
+    ) == EXIT_OK
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
+    }
+    assert digests == STUDY_DIGESTS[study]
 
 
 def test_simulate_writes_study_reports(tmp_path, capsys):

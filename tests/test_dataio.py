@@ -15,7 +15,6 @@ from cssel.dataio import (
     read_matrix_csv,
     read_vector_csv,
     remap_partition,
-    write_clusters_json,
     write_css_result,
 )
 
@@ -75,9 +74,8 @@ def test_load_dataset_checks_row_counts(tmp_path):
 
 def test_clusters_json_round_trip(tmp_path):
     p = tmp_path / "c.json"
-    write_clusters_json(p, [[0, 2], [1]], screened=[3])
+    p.write_text(clusters_json_text([[0, 2], [1]], screened=[3]))
     assert read_clusters_json(p) == ([[0, 2], [1]], None, [3])
-    assert p.read_text() == clusters_json_text([[0, 2], [1]], screened=[3])
     # names are written by users, not by the package, and are read back
     named = write(
         tmp_path / "n.json", '{"clusters": [[0, 2], [1]], "names": ["ab", "c"]}'

@@ -286,9 +286,12 @@ def test_dropped_feature_reenters_on_same_segment():
 
 
 def test_cv_singleton_grid_returns_it():
+    """y = 0 gives lambda_max = 0, so the default grid is the single
+    lambda 0, and CV returns it."""
     rng = np.random.default_rng(12)
-    data = random_instance(rng, 30, 5)
-    assert cross_validate_lambda(data, folds=5, grid=np.array([0.123])) == 0.123
+    data = DataSet(X=rng.standard_normal((30, 5)), y=np.zeros(30))
+    assert np.array_equal(default_lambda_grid(data), [0.0])
+    assert cross_validate_lambda(data, folds=5) == 0.0
 
 
 def test_cv_prefers_large_lambda_on_pure_noise():
@@ -299,8 +302,8 @@ def test_cv_prefers_large_lambda_on_pure_noise():
         X = rng.standard_normal((40, 10))
         y = rng.standard_normal(40)
         data = DataSet(X=X, y=y)
-        grid = default_lambda_grid(data, points=30)
-        lam = cross_validate_lambda(data, folds=5, grid=grid, seed=seed)
+        grid = default_lambda_grid(data)
+        lam = cross_validate_lambda(data, folds=5, seed=seed)
         if lam >= np.median(grid):
             hits += 1
     assert hits >= 12  # >= 60% of seeds
@@ -320,23 +323,26 @@ def test_cv_recovers_strong_signal():
     assert hits >= 19  # >= 95% of seeds
 
 
-def test_cv_ties_break_toward_larger_lambda():
+def test_cv_ties_break_toward_larger_lambda(monkeypatch):
     """Duplicated grid values cannot occur, but equal errors pick larger lam."""
     rng = np.random.default_rng(13)
     X = rng.standard_normal((24, 3))
     y = rng.standard_normal(24)
     data = DataSet(X=X, y=y)
     big = lambda_max(data) * 50
-    lam = cross_validate_lambda(data, folds=4, grid=np.array([4 * big, 2 * big, big]))
+    grid = np.array([4 * big, 2 * big, big])
+    monkeypatch.setattr(lasso, "default_lambda_grid", lambda _: grid)
+    lam = cross_validate_lambda(data, folds=4)
     assert lam == 4 * big  # all three give the null model, tie -> largest
 
 
-def test_cv_constant_response_fold_is_fine():
+def test_cv_constant_response_fold_is_fine(monkeypatch):
     """A constant-y fold must not divide by anything: plain squared error."""
     rng = np.random.default_rng(14)
     X = rng.standard_normal((12, 2))
     y = np.ones(12)
-    lam = cross_validate_lambda(DataSet(X=X, y=y), folds=3, grid=np.array([0.5, 0.1]))
+    monkeypatch.setattr(lasso, "default_lambda_grid", lambda _: np.array([0.5, 0.1]))
+    lam = cross_validate_lambda(DataSet(X=X, y=y), folds=3)
     assert lam in (0.5, 0.1)
 
 
@@ -476,9 +482,8 @@ def test_cv_picks_a_grid_value_on_tied_columns():
     X = np.column_stack([x, x, rng.standard_normal((40, 2))])
     y = x + 0.3 * rng.standard_normal(40)
     data = DataSet(X=X, y=y)
-    grid = default_lambda_grid(data, points=20)
-    lam = cross_validate_lambda(data, folds=5, grid=grid, seed=3)
-    assert lam in grid
+    lam = cross_validate_lambda(data, folds=5, seed=3)
+    assert lam in default_lambda_grid(data)
 
 
 def linear_scan_coefficients(path, lam):
@@ -649,7 +654,7 @@ def test_coefficients_at_reads_a_grid_past_a_tie(monkeypatch):
     x = rng.standard_normal(30)
     X = np.column_stack([x, x, rng.standard_normal((30, 3))])
     data = DataSet(X=X, y=x + 0.3 * rng.standard_normal(30))
-    grid = np.append(default_lambda_grid(data, points=10), 0.0)
+    grid = np.append(default_lambda_grid(data), 0.0)
     calls = count_descent_calls(monkeypatch)
     coefs = fit_lasso_path(data, stop_lambda=grid[-1]).coefficients_at(grid)
     assert coefs.shape == (grid.size, data.p) and not coefs[:, 1].any()
@@ -669,7 +674,7 @@ def test_coefficients_at_reads_a_grid_past_a_dependent_entrant(monkeypatch):
     calls = count_descent_calls(monkeypatch)
     path = fit_lasso_path(data)
     assert path.completed and np.count_nonzero(path.terminal_coefs[:3]) == 2
-    grid = np.append(default_lambda_grid(data, points=10), 0.0)
+    grid = np.append(default_lambda_grid(data), 0.0)
     for lam, coef in zip(grid, path.coefficients_at(grid)):
         assert kkt_residual(data, coef, lam) <= KKT_TOL
     assert calls == []
@@ -816,7 +821,7 @@ def test_half_layout_leaves_orders_and_supports_unchanged():
         order = fit_lasso_path(half, first_k=k).entry_order()
         assert len(order) >= k
         assert fit_lasso_path(copy, first_k=k).entry_order() == order
-        grid = default_lambda_grid(half, points=10)
+        grid = default_lambda_grid(half)
         supports = fixed_lambda_supports(half, grid)
         assert supports.any()
         assert np.array_equal(fixed_lambda_supports(copy, grid), supports)

@@ -127,6 +127,15 @@ def test_two_proxy_warns_outside_the_band():
         gen_two_proxy_instance(5000, 1.0, mid, seed=0, n_rows=20)
 
 
+def test_two_proxy_rejects_bad_inputs():
+    """A negative noise variance is rejected by the band check before any
+    draw, and a row count below one by the proxy model's draw."""
+    with pytest.raises(ValueError, match="sigma_eps_sq"):
+        gen_two_proxy_instance(5000, -1.0, 1.5, seed=0)
+    with pytest.raises(ValueError, match="n_rows"):
+        gen_two_proxy_instance(5000, 1.0, 1.5, seed=0, n_rows=0)
+
+
 def test_proxy_model_draw_matches_parameters():
     params = ProxyModelParams(
         n=400,
